@@ -32,21 +32,15 @@ const char* mode_name(core::BatchFetchMode mode) {
 
 void print_cell(bool first, core::BatchFetchMode mode, int depth, int width,
                 const RunResult& result) {
-  train::FetchTrafficReport traffic;
   double epoch_s = 0, hidden_s = 0;
   for (const auto& e : result.epochs) {
     epoch_s += e.epoch_seconds;
     hidden_s += e.overlap_hidden_s;
-    traffic.lock_epochs += e.traffic.lock_epochs;
-    traffic.rma_transfers += e.traffic.rma_transfers;
-    traffic.coalesced_transfers += e.traffic.coalesced_transfers;
-    traffic.coalesced_segments += e.traffic.coalesced_segments;
-    traffic.coalesced_bytes += e.traffic.coalesced_bytes;
-    traffic.lock_epochs_saved += e.traffic.lock_epochs_saved;
-    traffic.batch_dup_hits += e.traffic.batch_dup_hits;
-    traffic.coalesced_fallbacks += e.traffic.coalesced_fallbacks;
   }
   epoch_s /= static_cast<double>(result.epochs.size());
+  const auto total = [&result](const char* name) {
+    return static_cast<unsigned long long>(result.metric(name));
+  };
 
   if (!first) std::printf(",\n");
   std::printf(
@@ -61,15 +55,11 @@ void print_cell(bool first, core::BatchFetchMode mode, int depth, int width,
       fmt(result.mean_throughput(), 0).c_str(),
       fmt(result.latencies.percentile(50) * 1e3).c_str(),
       fmt(result.latencies.percentile(99) * 1e3).c_str(),
-      fmt(hidden_s, 6).c_str(),
-      static_cast<unsigned long long>(traffic.lock_epochs),
-      static_cast<unsigned long long>(traffic.rma_transfers),
-      static_cast<unsigned long long>(traffic.coalesced_transfers),
-      static_cast<unsigned long long>(traffic.coalesced_segments),
-      static_cast<unsigned long long>(traffic.coalesced_bytes),
-      static_cast<unsigned long long>(traffic.lock_epochs_saved),
-      static_cast<unsigned long long>(traffic.batch_dup_hits),
-      static_cast<unsigned long long>(traffic.coalesced_fallbacks));
+      fmt(hidden_s, 6).c_str(), total("lock_epochs"),
+      total("rma_transfers"), total("coalesced_transfers"),
+      total("coalesced_segments"), total("coalesced_bytes"),
+      total("lock_epochs_saved"), total("batch_dup_hits"),
+      total("coalesced_fallbacks"));
 }
 
 }  // namespace

@@ -30,8 +30,10 @@ using namespace dds::bench;
 namespace {
 
 void print_cell(bool first, int width, int replicas, double rate,
-                const RunResult& result,
-                const train::ResilienceReport& total) {
+                const RunResult& result) {
+  const auto total = [&result](const char* name) {
+    return static_cast<unsigned long long>(result.metric(name));
+  };
   if (!first) std::printf(",\n");
   std::printf(
       "  {\"machine\": \"perlmutter\", \"width\": %d, \"replicas\": %d, "
@@ -42,10 +44,8 @@ void print_cell(bool first, int width, int replicas, double rate,
       fmt(result.mean_throughput(), 0).c_str(),
       fmt(result.latencies.percentile(50) * 1e3).c_str(),
       fmt(result.latencies.percentile(99) * 1e3).c_str(),
-      static_cast<unsigned long long>(total.retries),
-      static_cast<unsigned long long>(total.failovers),
-      static_cast<unsigned long long>(total.checksum_failures),
-      static_cast<unsigned long long>(total.degraded_reads));
+      total("retries"), total("failovers"), total("checksum_failures"),
+      total("degraded_reads"));
 }
 
 /// One dead-rank recovery cell: drains `epochs` full-dataset epochs at
@@ -72,7 +72,6 @@ void elastic_recovery_cell(StagedData& data,
                         c.clock(), c.rng());
     core::DDStoreConfig cfg;
     cfg.width = 4;
-    cfg.elastic = rebuild;
     cfg.charge_replica_preload = false;
     core::DDStore store(c, data.cff(), client, cfg);
     std::unique_ptr<elastic::ElasticDriver> driver;
@@ -166,15 +165,7 @@ int main() {
         run.faults.death_time_s = 0.02;
       }
       const auto result = run_training(data, run, BackendKind::DDStore);
-
-      train::ResilienceReport total;
-      for (const auto& e : result.epochs) {
-        total.retries += e.resilience.retries;
-        total.failovers += e.resilience.failovers;
-        total.checksum_failures += e.resilience.checksum_failures;
-        total.degraded_reads += e.resilience.degraded_reads;
-      }
-      print_cell(first, width, nranks / width, rate, result, total);
+      print_cell(first, width, nranks / width, rate, result);
       first = false;
     }
   }

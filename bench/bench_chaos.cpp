@@ -81,7 +81,6 @@ ChaosRun run_scenario(StagedData& data, const model::MachineConfig& machine,
                         c.clock(), c.rng());
     core::DDStoreConfig cfg;
     cfg.width = kWidth;
-    cfg.elastic = scenario.wants_elastic;
     cfg.charge_replica_preload = false;
     cfg.hedge.enabled = hedge_on;
     core::DDStore store(c, data.cff(), client, cfg);

@@ -6,7 +6,12 @@
 // same binary.  The sweep is width {1,2,4}
 // x pipeline {per-sample+Pipelined, coalesced+Prefetching} x cache
 // {off, unbounded} on 8 Perlmutter ranks — 12 cells covering the fetch
-// planner, the prefetch overlap model, and the hot-sample cache.
+// planner, the prefetch overlap model, and the hot-sample cache — plus
+// one width-4 cell per off-by-default feature (hedging, a half-cold tier,
+// owner-greedy scheduling; the hedge cell adds a late straggler so hedges
+// fire), marked with a "feature" field.  Every cell reports the same
+// counter schema, so each feature's counters are exact-gated with real
+// values.
 //
 // Output is a JSON array (one object per cell) with epoch times printed at
 // %.17g — enough digits to round-trip an IEEE-754 double exactly — plus
@@ -35,19 +40,36 @@ std::string exact(double v) {
   return buf;
 }
 
+enum class Feature { None, Hedge, HalfCold, OwnerGreedy };
+
 struct Cell {
   int width;
   bool coalesced;   ///< false = per-sample + Pipelined loader
   bool cache;       ///< true = unbounded per-rank LRU
+  Feature feature = Feature::None;
 };
+
+const char* feature_name(Feature f) {
+  switch (f) {
+    case Feature::None: return "none";
+    case Feature::Hedge: return "hedge";
+    case Feature::HalfCold: return "hot_fraction=0.5";
+    case Feature::OwnerGreedy: return "owner_greedy";
+  }
+  return "?";
+}
 
 void print_cell(bool first, const Cell& cell, const RunResult& result) {
   if (!first) std::printf(",\n");
   std::printf(
       "  {\"machine\": \"perlmutter\", \"nranks\": 8, \"width\": %d, "
-      "\"pipeline\": \"%s\", \"cache\": \"%s\", \"epoch_seconds\": [",
+      "\"pipeline\": \"%s\", \"cache\": \"%s\", ",
       cell.width, cell.coalesced ? "coalesced+prefetch" : "per-sample",
       cell.cache ? "unbounded" : "off");
+  if (cell.feature != Feature::None) {
+    std::printf("\"feature\": \"%s\", ", feature_name(cell.feature));
+  }
+  std::printf("\"epoch_seconds\": [");
   for (std::size_t i = 0; i < result.epochs.size(); ++i) {
     if (i != 0) std::printf(", ");
     std::printf("%s", exact(result.epochs[i].epoch_seconds).c_str());
@@ -90,29 +112,50 @@ int main(int argc, char** argv) {
   StagedData data(machine, sc.kind, sc.num_samples, sc.nranks,
                   /*with_pff=*/false);
 
-  const int widths[] = {1, 2, 4};
-  const bool pipelines[] = {false, true};  // per-sample, coalesced+prefetch
-  const bool caches[] = {false, true};
+  std::vector<Cell> cells;
+  for (const int width : {1, 2, 4}) {
+    for (const bool coalesced : {false, true}) {
+      for (const bool cache : {false, true}) {
+        cells.push_back(Cell{width, coalesced, cache});
+      }
+    }
+  }
+  cells.push_back(Cell{4, false, false, Feature::Hedge});
+  cells.push_back(Cell{4, true, false, Feature::HalfCold});
+  cells.push_back(Cell{4, false, false, Feature::OwnerGreedy});
 
   std::printf("[\n");
   bool first = true;
-  for (const int width : widths) {
-    for (const bool coalesced : pipelines) {
-      for (const bool cache : caches) {
-        Scenario run = sc;
-        run.ddstore.width = width;
-        run.ddstore.batch_fetch = coalesced ? core::BatchFetchMode::Coalesced
-                                            : core::BatchFetchMode::PerSample;
-        run.loader_mode = coalesced ? train::LoaderMode::Prefetching
-                                    : train::LoaderMode::Pipelined;
-        run.prefetch_depth = 2;  // Pipelined cells ignore this knob
-        run.ddstore.cache_capacity_bytes =
-            cache ? (1ull << 40) : 0;  // unbounded in practice
-        const auto result = run_training(data, run, BackendKind::DDStore);
-        print_cell(first, Cell{width, coalesced, cache}, result);
-        first = false;
-      }
+  for (const Cell& cell : cells) {
+    Scenario run = sc;
+    run.ddstore.width = cell.width;
+    run.ddstore.batch_fetch = cell.coalesced
+                                  ? core::BatchFetchMode::Coalesced
+                                  : core::BatchFetchMode::PerSample;
+    run.loader_mode = cell.coalesced ? train::LoaderMode::Prefetching
+                                     : train::LoaderMode::Pipelined;
+    run.prefetch_depth = 2;  // Pipelined cells ignore this knob
+    run.ddstore.cache_capacity_bytes =
+        cell.cache ? (1ull << 40) : 0;  // unbounded in practice
+    switch (cell.feature) {
+      case Feature::None:
+        break;
+      case Feature::Hedge:
+        // Rank 1 slows 10x from the second epoch on, once every target's
+        // deadline has calibrated, so hedges actually fire.
+        run.ddstore.hedge.enabled = true;
+        run.faults.slowdowns.push_back(faults::SlowdownPhase{1, 10.0, 0.04});
+        break;
+      case Feature::HalfCold:
+        run.ddstore.tiered.hot_fraction = 0.5;
+        break;
+      case Feature::OwnerGreedy:
+        run.ddstore.locality_mode = core::LocalityMode::OwnerGreedy;
+        break;
     }
+    const auto result = run_training(data, run, BackendKind::DDStore);
+    print_cell(first, cell, result);
+    first = false;
   }
   std::printf("\n]\n");
   return 0;

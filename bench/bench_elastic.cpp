@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
                           c.clock(), c.rng());
       core::DDStoreConfig cfg;
       cfg.width = 8;
-      cfg.elastic = true;
       core::DDStore store(c, data.cff(), client, cfg);
       for (const int to : {4, 2, 1, 8}) {
         const int from = store.width();
@@ -162,7 +161,6 @@ int main(int argc, char** argv) {
                           c.clock(), c.rng());
       core::DDStoreConfig cfg;
       cfg.width = kRanks;
-      cfg.elastic = true;
       core::DDStore store(c, data.cff(), client, cfg);
       const std::uint64_t dataset_bytes =
           store.num_samples() * store.nominal_sample_bytes();
@@ -210,7 +208,6 @@ int main(int argc, char** argv) {
                           c.clock(), c.rng());
       core::DDStoreConfig cfg;
       cfg.width = kRanks;
-      cfg.elastic = true;
       core::DDStore store(c, data.cff(), client, cfg);
       train::DDStoreBackend backend(store);
       train::GlobalShuffleSampler sampler(kSamples, kLocalBatch, /*seed=*/42);

@@ -52,8 +52,7 @@ Cell run_cell(StagedData& data, const Scenario& base, int width,
   return cell;
 }
 
-void print_cell(const Cell& cell, double shuffle_remote,
-                double shuffle_seconds) {
+void print_cell(const Cell& cell, double shuffle_remote) {
   const auto& st = cell.result.ddstore_stats;
   const double gets =
       static_cast<double>(st.local_gets + st.remote_gets);
@@ -187,14 +186,10 @@ int main(int argc, char** argv) {
           run_cell(data, sc, width, batch, core::LocalityMode::Shuffle);
       const auto shuffle_remote =
           static_cast<double>(shuffle.result.ddstore_stats.remote_gets);
-      double shuffle_seconds = 0;
-      for (const auto& e : shuffle.result.epochs) {
-        shuffle_seconds += e.epoch_seconds;
-      }
-      print_cell(shuffle, shuffle_remote, shuffle_seconds);
+      print_cell(shuffle, shuffle_remote);
       const Cell greedy =
           run_cell(data, sc, width, batch, core::LocalityMode::OwnerGreedy);
-      print_cell(greedy, shuffle_remote, shuffle_seconds);
+      print_cell(greedy, shuffle_remote);
 
       const double cut =
           1.0 - static_cast<double>(greedy.result.ddstore_stats.remote_gets) /

@@ -79,13 +79,10 @@ double RunResult::mean_throughput() const {
   return s / static_cast<double>(epochs.size());
 }
 
-train::PhaseProfile RunResult::mean_profile() const {
-  DDS_CHECK(!epochs.empty());
-  train::PhaseProfile p;
-  for (const auto& e : epochs) p.merge(e.mean_profile);
-  // merge() sums; divide by epoch count via a diff trick is unavailable,
-  // so scale by adding nothing — callers treat this as a per-run total.
-  return p;
+std::uint64_t RunResult::metric(const std::string& name) const {
+  std::uint64_t sum = 0;
+  for (const auto& e : epochs) sum += e.metric(name);
+  return sum;
 }
 
 std::vector<train::EpochReport::MetricSample> RunResult::summed_metrics()

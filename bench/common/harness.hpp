@@ -97,11 +97,11 @@ struct RunResult {
 
   /// Mean throughput over measured epochs (drops none).
   double mean_throughput() const;
-  /// Mean per-rank phase profile over epochs.
-  train::PhaseProfile mean_profile() const;
   /// Every backend metric summed over the run's epochs (already summed
   /// across ranks per epoch), in registry order.  Empty for file backends.
   std::vector<train::EpochReport::MetricSample> summed_metrics() const;
+  /// One named counter summed over the run's epochs (0 if unregistered).
+  std::uint64_t metric(const std::string& name) const;
 };
 
 /// Serializes metric samples as JSON object fields: `"name": value, ...`

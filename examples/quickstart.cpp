@@ -4,7 +4,7 @@
 //   1. stage a synthetic molecular dataset as a CFF container on the
 //      simulated parallel filesystem,
 //   2. bring up an 8-rank training job (simmpi runtime),
-//   3. build a DDStore with width 4 (two replica groups), elastic mode on,
+//   3. build a DDStore with width 4 (two replica groups),
 //   4. pull globally-shuffled batches through the DataLoader facade while
 //      an ElasticDriver watches each epoch and live-reshards the store
 //      toward the cheapest width the memory budget allows,
@@ -52,7 +52,6 @@ int main() {
     core::DDStoreConfig config;
     config.width = 4;  // two replica groups of four ranks each
     config.cache_capacity_bytes = 64ull << 20;  // per-rank hot-sample LRU
-    config.elastic = true;  // arms live resharding (adopt_layout et al.)
     core::DDStore store(world, reader, fs_client, config);
 
     // The driver watches each epoch's fetch mix and walks the width down

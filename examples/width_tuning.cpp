@@ -113,7 +113,6 @@ int main() {
       core::DDStoreConfig config;
       config.width = kRanks;
       config.charge_replica_preload = false;
-      config.elastic = true;
       core::DDStore store(world, reader, fs_client, config);
       elastic::ElasticConfig ecfg;
       ecfg.memory_budget_per_rank =

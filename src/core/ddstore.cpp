@@ -160,26 +160,18 @@ DDStore::DDStore(simmpi::Comm& comm, const formats::SampleReader& reader,
   engine_.emplace(comm_, group_, *window_, layout_, config_, reader,
                   fs_client, nominal_sample_bytes_, metrics_);
 
-  // 6. Elastic mode only: pre-register the reshard/rebuild counters so a
-  // later reshard never registers metrics mid-epoch (which would break the
-  // trainer's delta accounting).  Gated on the config flag so the default
-  // counter layout — and with it the committed CI perf baseline, which
-  // serializes every counter — is untouched.
-  if (config_.elastic) {
-    metrics_.counter("reshards");
-    metrics_.counter("reshard_pull_bytes");
-    metrics_.counter("reshard_keep_bytes");
-    metrics_.counter("rank_rebuilds");
-    metrics_.counter("rebuild_bytes");
-    // Only meaningful when a reshard re-stripes a tiered store, but
-    // registered whenever elastic is on so the elastic counter layout does
-    // not depend on the tiering knob.
-    metrics_.counter("reshard_cold_stage_bytes");
-  }
+  // 6. The reshard/rebuild counters, registered up front so a later
+  // reshard never registers metrics mid-epoch (which would break the
+  // trainer's delta accounting).
+  metrics_.counter("reshards");
+  metrics_.counter("reshard_pull_bytes");
+  metrics_.counter("reshard_keep_bytes");
+  metrics_.counter("rank_rebuilds");
+  metrics_.counter("rebuild_bytes");
+  metrics_.counter("reshard_cold_stage_bytes");
 }
 
 void DDStore::adopt_layout(const Layout& to, std::optional<ByteBuffer> new_chunk) {
-  DDS_CHECK_MSG(config_.elastic, "adopt_layout requires DDStoreConfig::elastic");
   DDS_CHECK_MSG(to.valid() && to.nranks() == comm_.size(),
                 "layout disagrees with the communicator");
   DDS_CHECK_MSG(to.num_samples() == layout_.num_samples(),

@@ -20,13 +20,13 @@
 // All counters live in a per-rank MetricsRegistry; DDStoreStats is a
 // point-in-time view materialized by stats().
 //
-// Elasticity: with DDStoreConfig::elastic on, the width is no longer
-// frozen — src/elastic/ plans and executes a re-striping at an epoch
-// boundary and then calls adopt_layout(), which swaps the Layout value,
-// re-splits the replica-group comm, and re-registers the window in one
-// collective step.  The FetchEngine observes the new striping through its
-// stable Layout pointer; no engine rebuild, and the hot-sample cache stays
-// warm (its keys are sample ids, which never change).
+// Elasticity: the width is not frozen — src/elastic/ plans and executes a
+// re-striping at an epoch boundary and then calls adopt_layout(), which
+// swaps the Layout value, re-splits the replica-group comm, and
+// re-registers the window in one collective step.  The FetchEngine
+// observes the new striping through its stable Layout pointer; no engine
+// rebuild, and the hot-sample cache stays warm (its keys are sample ids,
+// which never change).
 //
 // In-process memory note: replica groups hold identical chunk content, so
 // ranks with the same group-rank alias one physical buffer ("twins") at
@@ -130,7 +130,7 @@ class DDStore {
   const Layout& layout() const { return layout_; }
   const DataRegistry& registry() const { return layout_.registry(); }
 
-  // ---- elastic hooks (require DDStoreConfig::elastic) -------------------
+  // ---- elastic hooks (src/elastic/) --------------------------------------
 
   /// The comm-spanning RMA window (reshard executors read source chunks
   /// through it) and this rank's resident chunk bytes.

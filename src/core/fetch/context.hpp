@@ -26,6 +26,11 @@ namespace dds::core::fetch {
 /// registered in a fixed order at engine construction.  Every rank
 /// registers the same names in the same order, so cross-rank elementwise
 /// sums of counter snapshots line up (see MetricsRegistry's contract).
+///
+/// Every counter is registered in every configuration: a stage whose
+/// feature is off (hedging, tiering, locality scheduling) simply never
+/// bumps its counters, so they read zero and the counter schema is the
+/// same whatever the config.
 struct FetchMetrics {
   explicit FetchMetrics(MetricsRegistry& registry)
       : local_gets(registry.counter("local_gets")),
@@ -49,7 +54,24 @@ struct FetchMetrics {
         cache_misses(registry.counter("cache_misses")),
         cache_evictions(registry.counter("cache_evictions")),
         cache_hit_bytes(registry.counter("cache_hit_bytes")),
-        latency(registry.latency("sample_load_s")) {}
+        latency(registry.latency("sample_load_s")),
+        hedged_fetches(registry.counter("hedged_fetches")),
+        hedge_wins(registry.counter("hedge_wins")),
+        hedge_mismatches(registry.counter("hedge_mismatches")),
+        hedge_cancelled_bytes(registry.counter("hedge_cancelled_bytes")),
+        quarantine_steers(registry.counter("quarantine_steers")),
+        cold_misses(registry.counter("cold_misses")),
+        staged_hits(registry.counter("staged_hits")),
+        staged_hit_bytes(registry.counter("staged_hit_bytes")),
+        staged_bytes(registry.counter("staged_bytes")),
+        staged_evictions(registry.counter("staged_evictions")),
+        stage_nvme_hits(registry.counter("stage_nvme_hits")),
+        stage_backpressure_delays(
+            registry.counter("stage_backpressure_delays")),
+        stage_wait(registry.latency("stage_wait_s")),
+        sched_local_planned(registry.counter("sched_local_planned")),
+        sched_remote_planned(registry.counter("sched_remote_planned")),
+        sched_remote_bytes(registry.counter("sched_remote_bytes")) {}
 
   MetricsRegistry::Counter& local_gets;
   MetricsRegistry::Counter& remote_gets;
@@ -73,45 +95,15 @@ struct FetchMetrics {
   MetricsRegistry::Counter& cache_evictions;
   MetricsRegistry::Counter& cache_hit_bytes;
   LatencyRecorder& latency;
-};
-
-/// Hedging/health counters, registered *after* FetchMetrics and only when
-/// DDStoreConfig::hedge.enabled — the default counter layout (and the
-/// committed CI perf baseline that serializes it) stays untouched, exactly
-/// like the elastic counters.  Every rank evaluates the same config, so
-/// registry layouts still match across ranks.
-struct HedgeMetrics {
-  explicit HedgeMetrics(MetricsRegistry& registry)
-      : hedged_fetches(registry.counter("hedged_fetches")),
-        hedge_wins(registry.counter("hedge_wins")),
-        hedge_mismatches(registry.counter("hedge_mismatches")),
-        hedge_cancelled_bytes(registry.counter("hedge_cancelled_bytes")),
-        quarantine_steers(registry.counter("quarantine_steers")) {}
-
+  // Hedging and health steering (Resilience stage, hedge.enabled).
   MetricsRegistry::Counter& hedged_fetches;
   MetricsRegistry::Counter& hedge_wins;
   MetricsRegistry::Counter& hedge_mismatches;
   MetricsRegistry::Counter& hedge_cancelled_bytes;
   MetricsRegistry::Counter& quarantine_steers;
-};
-
-/// Tiering counters, registered *after* FetchMetrics (and any HedgeMetrics)
-/// and only when DDStoreConfig::tiered.enabled() — same gating discipline:
-/// the default counter layout and the committed CI perf baseline never
-/// move.  stage_wait is the time a consumer actually blocked on a staged
-/// completion (0 when the deep queue fully hid the storage latency).
-struct TierMetrics {
-  explicit TierMetrics(MetricsRegistry& registry)
-      : cold_misses(registry.counter("cold_misses")),
-        staged_hits(registry.counter("staged_hits")),
-        staged_hit_bytes(registry.counter("staged_hit_bytes")),
-        staged_bytes(registry.counter("staged_bytes")),
-        staged_evictions(registry.counter("staged_evictions")),
-        stage_nvme_hits(registry.counter("stage_nvme_hits")),
-        stage_backpressure_delays(
-            registry.counter("stage_backpressure_delays")),
-        stage_wait(registry.latency("stage_wait_s")) {}
-
+  // Tiering (Staging stage, tiered.enabled()).  stage_wait is the time a
+  // consumer actually blocked on a staged completion (0 when the deep
+  // queue fully hid the storage latency).
   MetricsRegistry::Counter& cold_misses;
   MetricsRegistry::Counter& staged_hits;
   MetricsRegistry::Counter& staged_hit_bytes;
@@ -120,21 +112,10 @@ struct TierMetrics {
   MetricsRegistry::Counter& stage_nvme_hits;
   MetricsRegistry::Counter& stage_backpressure_delays;
   LatencyRecorder& stage_wait;
-};
-
-/// Scheduling counters, registered *after* FetchMetrics (and any
-/// HedgeMetrics/TierMetrics) and only when DDStoreConfig::locality_mode !=
-/// LocalityMode::Shuffle — same gating discipline: the default counter
-/// layout and the committed CI perf baseline never move.  These record
-/// what the locality-aware batch scheduler *planned* (local vs remote
-/// placements as classified at get time), which the bench sweep compares
-/// against the transport's actual local_gets/remote_gets.
-struct SchedMetrics {
-  explicit SchedMetrics(MetricsRegistry& registry)
-      : sched_local_planned(registry.counter("sched_local_planned")),
-        sched_remote_planned(registry.counter("sched_remote_planned")),
-        sched_remote_bytes(registry.counter("sched_remote_bytes")) {}
-
+  // Locality scheduling (locality_mode != Shuffle): what the batch
+  // scheduler *planned* (local vs remote placements as classified at get
+  // time), which the bench sweep compares against the transport's actual
+  // local_gets/remote_gets.
   MetricsRegistry::Counter& sched_local_planned;
   MetricsRegistry::Counter& sched_remote_planned;
   MetricsRegistry::Counter& sched_remote_bytes;
@@ -192,15 +173,8 @@ struct FetchContext {
   fs::FsClient* fs_client = nullptr;
   FetchMetrics* metrics = nullptr;
   std::uint64_t nominal_sample_bytes = 0;
-  /// Non-null iff config->hedge.enabled (doubles as the stage-side switch
-  /// for hedging and health steering).
-  HedgeMetrics* hedge = nullptr;
-  /// Non-null iff config->tiered.enabled() (the Staging stage's switch).
-  TierMetrics* tier = nullptr;
-  /// Non-null iff config->locality_mode != LocalityMode::Shuffle.
-  SchedMetrics* sched = nullptr;
   /// Active tenant scope, or nullptr (the single-tenant default).  Unlike
-  /// hedge/tier/sched this is *per-call* state, not per-construction: the
+  /// the config this is *per-call* state, not per-construction: the
   /// tenant layer swaps it around each tenant's loads.
   TenantScope* tenant = nullptr;
 

@@ -23,24 +23,14 @@ FetchEngine::FetchEngine(simmpi::Comm& comm, simmpi::Comm& group,
       cache_(config.cache_capacity_bytes),
       transport_(ctx_),
       resilience_(ctx_, transport_) {
-  if (config.hedge.enabled) {
-    hedge_metrics_.emplace(metrics);
-    ctx_.hedge = &*hedge_metrics_;
-  }
   if (config.tiered.enabled()) {
-    tier_metrics_.emplace(metrics);
-    ctx_.tier = &*tier_metrics_;
     cold_tier_.emplace(fs_client.fs(), config.tiered.nvme, fs_client.node());
     staging_.emplace(ctx_, transport_, *cold_tier_);
-  }
-  if (config.locality_mode != LocalityMode::Shuffle) {
-    sched_metrics_.emplace(metrics);
-    ctx_.sched = &*sched_metrics_;
   }
 }
 
 void FetchEngine::account_sched(std::span<const std::uint64_t> ids) {
-  if (ctx_.sched == nullptr) return;
+  if (ctx_.config->locality_mode == LocalityMode::Shuffle) return;
   // Classify each unique id the way the scheduler's cost model does: a
   // zero-cost placement iff this rank's chunk owns the sample *and* the
   // sample is hot (cold-resident samples cost a staging read anywhere).
@@ -49,13 +39,12 @@ void FetchEngine::account_sched(std::span<const std::uint64_t> ids) {
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
   const Layout& layout = *ctx_.layout;
   const int me = ctx_.group->rank();
-  SchedMetrics& sm = *ctx_.sched;
   for (const std::uint64_t id : unique) {
     if (layout.owner_of(id) == me && layout.is_hot(id)) {
-      ++sm.sched_local_planned;
+      ++metrics_.sched_local_planned;
     } else {
-      ++sm.sched_remote_planned;
-      sm.sched_remote_bytes += ctx_.nominal_sample_bytes;
+      ++metrics_.sched_remote_planned;
+      metrics_.sched_remote_bytes += ctx_.nominal_sample_bytes;
     }
   }
 }
@@ -241,10 +230,9 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_per_sample(
 
 ByteBuffer FetchEngine::get_cold_bytes(std::uint64_t id,
                                        const DataRegistry::Entry& entry) {
-  TierMetrics& tm = *ctx_.tier;
   if (const ByteBuffer* hit = staging_->staged_lookup(id)) {
-    ++tm.staged_hits;
-    tm.staged_hit_bytes += entry.length;
+    ++metrics_.staged_hits;
+    metrics_.staged_hit_bytes += entry.length;
     tracing::Span span(ctx_.tracer(), ctx_.clock(), tracing::Category::Cache,
                        "staged_hit");
     span.args().sample_id = static_cast<std::int64_t>(id);
@@ -266,9 +254,8 @@ void FetchEngine::serve_staged_hit(const PlannedSample& sample,
                                    std::vector<graph::GraphSample>& out) {
   const ByteBuffer* bytes = staging_->staged_lookup(sample.id);
   DDS_CHECK(bytes != nullptr);
-  TierMetrics& tm = *ctx_.tier;
-  ++tm.staged_hits;
-  tm.staged_hit_bytes += sample.length;
+  ++metrics_.staged_hits;
+  metrics_.staged_hit_bytes += sample.length;
   auto& clock = ctx_.clock();
   const double t0 = clock.now();
   {

@@ -153,16 +153,6 @@ class FetchEngine {
   void record_latency(double seconds);
 
   FetchMetrics metrics_;
-  /// Registered after FetchMetrics and only when config.hedge.enabled, so
-  /// the default counter layout (and the committed CI perf baseline)
-  /// stays untouched.  ctx_.hedge points here when engaged.
-  std::optional<HedgeMetrics> hedge_metrics_;
-  /// Registered after FetchMetrics/HedgeMetrics and only when
-  /// config.tiered.enabled(), for the same baseline reason.
-  std::optional<TierMetrics> tier_metrics_;
-  /// Registered last and only when config.locality_mode != Shuffle, for the
-  /// same baseline reason.
-  std::optional<SchedMetrics> sched_metrics_;
   FetchContext ctx_;
   formats::DecodeCost decode_;
   SampleCache cache_;

@@ -115,7 +115,7 @@ const std::vector<int>& ResilienceStage::candidate_order(int owner) {
   };
   rotation();
   for (int t : order_) refresh_revival(t);
-  if (ctx_->hedge != nullptr && order_.size() > 1) {
+  if (ctx_->config->hedge.enabled && order_.size() > 1) {
     // Steering: try quarantined-but-alive targets last, keeping the
     // rotation order within each class (stable, hence deterministic).
     const int primary = order_.front();
@@ -160,11 +160,11 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     int target, int backup, bool own_lock, bool locked, int primary,
     double overhead_scale) {
   auto& clock = ctx_->clock();
-  HedgeMetrics* hm = ctx_->hedge;
+  FetchMetrics& m = *ctx_->metrics;
+  // `backup` is -1 unless hedging is on (see fetch()).
   const double deadline =
-      (hm != nullptr && backup >= 0)
-          ? health_.deadline(static_cast<std::size_t>(target))
-          : std::numeric_limits<double>::infinity();
+      backup >= 0 ? health_.deadline(static_cast<std::size_t>(target))
+                  : std::numeric_limits<double>::infinity();
 
   if (!std::isfinite(deadline)) {
     // Plain clock-coupled attempt: hedging disarmed, the target is still
@@ -205,7 +205,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
 
   // The backup fires when the origin gives up waiting: at the deadline, or
   // earlier if the primary's failure is observed first.
-  ++hm->hedged_fetches;
+  ++m.hedged_fetches;
   double b_start = t0 + deadline;
   if (!p.delivered) b_start = std::min(b_start, p.done);
   if (tracing::EventTracer* tr = ctx_->tracer()) {
@@ -230,13 +230,13 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     // (and keep the primary's bytes) if they disagree, it's a real bug or
     // an injected corruption, and the Verify stage gets the final word.
     if (std::memcmp(dst.data(), hedge_scratch_.data(), entry.length) != 0) {
-      ++hm->hedge_mismatches;
+      ++m.hedge_mismatches;
     }
     // The loser's payload is redundant wire traffic, never bytes_fetched.
-    hm->hedge_cancelled_bytes += entry.length;
+    m.hedge_cancelled_bytes += entry.length;
     if (b.done < p.done) {
       std::memcpy(dst.data(), hedge_scratch_.data(), entry.length);
-      ++hm->hedge_wins;
+      ++m.hedge_wins;
     }
     clock.advance_to(std::min(p.done, b.done));
     health_.observe(static_cast<std::size_t>(target), p.done - t0);
@@ -254,7 +254,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
   if (b.delivered) {
     // The hedge saved the fetch: primary leg failed, backup delivered.
     std::memcpy(dst.data(), hedge_scratch_.data(), entry.length);
-    ++hm->hedge_wins;
+    ++m.hedge_wins;
     clock.advance_to(b.done);
     health_.observe(static_cast<std::size_t>(backup), b.done - b_start);
     state_of(backup).breaker.on_success();
@@ -275,10 +275,10 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
   const int owner = static_cast<int>(entry.owner);
   const int primary = ctx_->primary_target(owner);
   const std::vector<int>& order = candidate_order(owner);
-  if (ctx_->hedge != nullptr && order.front() != primary) {
+  if (ctx_->config->hedge.enabled && order.front() != primary) {
     // Steering demoted a quarantined primary: this fetch routes around a
     // degraded-but-alive rank before any breaker has tripped.
-    ++ctx_->hedge->quarantine_steers;
+    ++m.quarantine_steers;
     if (tracing::EventTracer* tr = ctx_->tracer()) {
       tracing::EventArgs args;
       args.target = ctx_->comm->world_rank_of(primary);
@@ -298,7 +298,7 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
     // caller; failover targets always take their own shared lock.
     const bool own_lock = !(locked && target == primary);
     const int backup =
-        ctx_->hedge != nullptr ? pick_backup(order, target) : -1;
+        ctx_->config->hedge.enabled ? pick_backup(order, target) : -1;
     bool abandon = false;
     for (int attempt = 1; attempt <= rp.max_attempts && !abandon; ++attempt) {
       if (attempt > 1) {

@@ -36,7 +36,7 @@ void StagingStage::enqueue(std::uint64_t id,
     if (f.id == id) return;  // already in flight
   }
   const TieredConfig& cfg = ctx_->config->tiered;
-  TierMetrics& tm = *ctx_->tier;
+  FetchMetrics& m = *ctx_->metrics;
   auto& clock = ctx_->clock();
 
   // Data plane: cold bytes come out of the owner's exposed region — the
@@ -61,14 +61,14 @@ void StagingStage::enqueue(std::uint64_t id,
                       static_cast<std::size_t>(cfg.staging_depth)];
     if (slot_free > ready) {
       ready = slot_free;
-      ++tm.stage_backpressure_delays;
+      ++m.stage_backpressure_delays;
     }
   }
   const store::StageCompletion sc =
       cold_->stage_read(id, ctx_->nominal_sample_bytes, ready);
   f.done = sc.done;
-  if (sc.nvme_hit) ++tm.stage_nvme_hits;
-  ++tm.cold_misses;
+  if (sc.nvme_hit) ++m.stage_nvme_hits;
+  ++m.cold_misses;
   if (tracing::EventTracer* tr = ctx_->tracer()) {
     tracing::EventArgs args;
     args.sample_id = static_cast<std::int64_t>(id);
@@ -87,18 +87,18 @@ ByteBuffer StagingStage::drain(std::uint64_t id) {
   const auto it = std::find_if(queue_.begin(), queue_.end(),
                                [id](const InFlight& f) { return f.id == id; });
   DDS_CHECK_MSG(it != queue_.end(), "drain of a sample never enqueued");
-  TierMetrics& tm = *ctx_->tier;
+  FetchMetrics& m = *ctx_->metrics;
   auto& clock = ctx_->clock();
   const double wait = std::max(0.0, it->done - clock.now());
   clock.advance_to(it->done);
-  tm.stage_wait.add(wait);
-  tm.staged_bytes += it->bytes.size();
+  m.stage_wait.add(wait);
+  m.staged_bytes += it->bytes.size();
 
   ByteBuffer bytes = std::move(it->bytes);
   queue_.erase(it);
   if (ctx_->config->tiered.admission == TierAdmission::Promote) {
     DDS_CHECK_MSG(promoting_, "promotion outside a lock epoch");
-    tm.staged_evictions += staged_.insert(id, ByteSpan(bytes));
+    m.staged_evictions += staged_.insert(id, ByteSpan(bytes));
   }
   return bytes;
 }

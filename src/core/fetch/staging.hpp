@@ -42,7 +42,6 @@ class RmaTransport;
 
 class StagingStage {
  public:
-  /// `ctx.tier` must already point at the registered TierMetrics.
   /// `transport` issues the promotion lock epochs; `cold` models the
   /// storage reads.  Both must outlive the stage.
   StagingStage(const FetchContext& ctx, RmaTransport& transport,

@@ -78,10 +78,7 @@ struct RetryPolicy {
 /// land the payloads are verified byte-identical.  Separately, targets
 /// whose continuous health score drops below the quarantine threshold are
 /// steered around (tried last) before any breaker declares them dead.
-///
-/// Off by default: no hedge counters are registered and the fetch path is
-/// byte-identical to the unhedged store — the committed CI perf baseline
-/// relies on this, exactly like DDStoreConfig::elastic.
+/// Off by default; the hedge counters then stay zero.
 struct HedgePolicy {
   bool enabled = false;
   /// Deadline = EWMA + deadline_sigma * EW-deviation, >= deadline_floor_s.
@@ -132,11 +129,8 @@ enum class TierAdmission {
 /// whose completions are modeled at issue time without advancing any clock
 /// (the get_deferred pattern), so staging overlaps hot RMA traffic and —
 /// through the prefetching loader's double buffer — training compute.
-///
-/// Off by default (hot_fraction = 1.0): no tier counters are registered
-/// and no staging branch is taken, so the default counter layout and the
-/// committed CI perf baseline stay byte-identical, exactly like the
-/// elastic and hedge gates.
+/// Off by default (hot_fraction = 1.0): no staging branch is taken and the
+/// tier counters stay zero.
 struct TieredConfig {
   /// Fraction of each owner's chunk bytes pinned hot; 1.0 disables tiering.
   double hot_fraction = 1.0;
@@ -184,25 +178,17 @@ struct DDStoreConfig {
   /// nominal bytes / memcpy bandwidth) and never touch the transport,
   /// retry budget, or circuit breakers.
   std::uint64_t cache_capacity_bytes = 0;
-  /// Arms the elastic hooks (src/elastic/): adopt_layout() becomes legal
-  /// and the reshard/rebuild counters are registered at construction.
-  /// Off by default so the store's counter layout — and the committed CI
-  /// perf baseline that serializes it — is byte-identical to the static
-  /// store.
-  bool elastic = false;
   /// Gray-failure robustness: hedged fetches + health steering (see
-  /// HedgePolicy).  Off by default for the same baseline reason.
+  /// HedgePolicy).  Off by default.
   HedgePolicy hedge;
   /// Out-of-core tiering: hot-shard windows over a cold tier with async
-  /// staging (see TieredConfig).  Off by default for the same baseline
-  /// reason.
+  /// staging (see TieredConfig).  Off by default.
   TieredConfig tiered;
   /// Locality-aware batch scheduling (src/sched/): when OwnerGreedy, the
   /// sampler permutes each global batch's sample->rank assignment so
-  /// samples land on ranks that own them, and the engine registers the
-  /// sched_* planning counters.  Default Shuffle keeps the assignment —
-  /// and the committed CI perf baseline's counter layout — byte-identical
-  /// to the paper's sampler.
+  /// samples land on ranks that own them, and the engine counts the
+  /// sched_* planning counters.  Default Shuffle keeps the paper's
+  /// assignment.
   LocalityMode locality_mode = LocalityMode::Shuffle;
 };
 
@@ -284,7 +270,7 @@ struct DDStoreStats {
   std::uint64_t sched_remote_planned = 0;  ///< unique samples planned remote
   std::uint64_t sched_remote_bytes = 0;    ///< nominal bytes planned remote
 
-  // Elastic counters (all zero unless DDStoreConfig::elastic is on).
+  // Elastic counters (all zero until src/elastic/ reshards or rebuilds).
   std::uint64_t reshards = 0;            ///< adopted layout swaps
   std::uint64_t reshard_pull_bytes = 0;  ///< bytes pulled from remote chunks
   std::uint64_t reshard_keep_bytes = 0;  ///< bytes reused from the old chunk

@@ -32,8 +32,6 @@ ElasticDriver::ElasticDriver(core::DDStore& store, const ElasticConfig& config)
                   WidthControllerConfig{config.memory_budget_per_rank,
                                         config.amortize_epochs,
                                         config.step_tolerance}) {
-  DDS_CHECK_MSG(store_.config().elastic,
-                "ElasticDriver requires DDStoreConfig::elastic");
   trajectory_.push_back(store_.width());
   snapshot();
 }

@@ -95,8 +95,6 @@ ByteBuffer execute_rank_plan(core::DDStore& store, const RankReshardPlan& rp,
 
 ReshardPlan reshard(core::DDStore& store, int new_width,
                     std::span<const int> excluded_sources) {
-  DDS_CHECK_MSG(store.config().elastic,
-                "reshard requires DDStoreConfig::elastic");
   if (new_width == store.width()) {
     ReshardPlan noop;
     noop.from_width = noop.to_width = new_width;
@@ -127,8 +125,6 @@ ReshardPlan reshard(core::DDStore& store, int new_width,
 }
 
 ReshardPlan rebuild_rank(core::DDStore& store, int dead_rank) {
-  DDS_CHECK_MSG(store.config().elastic,
-                "rebuild_rank requires DDStoreConfig::elastic");
   // Pinned copy: the layout value survives the adopt_layout swap below.
   const core::Layout layout = store.layout();
   ReshardPlan plan = plan_rebuild(layout, dead_rank);

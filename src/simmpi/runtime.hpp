@@ -319,6 +319,34 @@ class Comm {
     return out;
   }
 
+  /// Element-wise reduction that does NOT advance virtual clocks — the
+  /// reducing analogue of allgatherv_untimed, for summing per-rank metric
+  /// deltas without holding every rank's copy.  Every rank folds the
+  /// published snapshots in rank order, so all ranks get the same result.
+  /// Throws InternalError (on every rank) unless all ranks pass the same
+  /// length.
+  template <typename T>
+    requires TriviallySerializable<T>
+  void allreduce_inplace_untimed(std::span<T> data, Op op) {
+    const std::size_t bytes = data.size() * sizeof(T);
+    deposit(data.data(), bytes);
+    read_phase([&](int nranks) {
+      for (int r = 0; r < nranks; ++r) {
+        DDS_CHECK_MSG(shared_->size_slots[static_cast<std::size_t>(r)] == bytes,
+                      "allreduce_inplace_untimed: ranks passed unequal "
+                      "lengths");
+      }
+      if (bytes == 0) return;
+      std::memcpy(data.data(), shared_->slots[0], bytes);
+      for (int r = 1; r < nranks; ++r) {
+        const T* theirs = static_cast<const T*>(shared_->slots[r]);
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          data[i] = detail::apply_op(op, data[i], theirs[i]);
+        }
+      }
+    });
+  }
+
   /// Variable-count gather to `root` only: root receives the concatenation
   /// (with per-rank counts); other ranks receive an empty vector.
   template <typename T>

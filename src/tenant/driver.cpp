@@ -130,22 +130,15 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
   }
 
   // ---- reporting (untimed exchanges; must not perturb the time model) ----
-  const std::vector<std::uint64_t> counters_now = registry.counter_values();
-  DDS_CHECK_MSG(counters_now.size() == counters_at_start.size(),
+  std::vector<std::uint64_t> summed = registry.counter_values();
+  DDS_CHECK_MSG(summed.size() == counters_at_start.size(),
                 "metrics registered mid-epoch break delta accounting");
-  std::vector<std::uint64_t> local_delta(counters_now.size());
-  for (std::size_t i = 0; i < counters_now.size(); ++i) {
-    local_delta[i] = counters_now[i] - counters_at_start[i];
+  for (std::size_t i = 0; i < summed.size(); ++i) {
+    summed[i] -= counters_at_start[i];
   }
-  const std::vector<std::uint64_t> all_deltas = comm_.allgatherv_untimed(
-      std::span<const std::uint64_t>(local_delta.data(), local_delta.size()));
+  comm_.allreduce_inplace_untimed(std::span<std::uint64_t>(summed),
+                                  simmpi::Op::Sum);
   const auto& names = registry.counter_names();
-  DDS_CHECK(all_deltas.size() ==
-            names.size() * static_cast<std::size_t>(comm_.size()));
-  std::vector<std::uint64_t> summed(names.size(), 0);
-  for (std::size_t i = 0; i < all_deltas.size(); ++i) {
-    summed[i % names.size()] += all_deltas[i];
-  }
   const auto summed_counter = [&](const std::string& name) -> std::uint64_t {
     for (std::size_t i = 0; i < names.size(); ++i) {
       if (names[i] == name) return summed[i];

@@ -70,46 +70,26 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
 
   // Metric counters: this rank's delta over the epoch, summed across ranks
   // elementwise (untimed — bookkeeping must not perturb the time model).
-  // The exchange is collective, so every rank participates even when its
+  // The reduction is collective, so every rank participates even when its
   // backend keeps no registry (it contributes an empty vector).
-  std::vector<std::uint64_t> local_delta;
+  std::vector<std::uint64_t> delta;
   if (registry != nullptr) {
-    const std::vector<std::uint64_t> now = registry->counter_values();
-    DDS_CHECK_MSG(now.size() == counters_at_start.size(),
+    delta = registry->counter_values();
+    DDS_CHECK_MSG(delta.size() == counters_at_start.size(),
                   "metrics registered mid-epoch break delta accounting");
-    local_delta.resize(now.size());
-    for (std::size_t i = 0; i < now.size(); ++i) {
-      local_delta[i] = now[i] - counters_at_start[i];
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] -= counters_at_start[i];
     }
   }
-  const std::vector<std::uint64_t> all_deltas = comm_.allgatherv_untimed(
-      std::span<const std::uint64_t>(local_delta.data(), local_delta.size()));
+  comm_.allreduce_inplace_untimed(std::span<std::uint64_t>(delta),
+                                  simmpi::Op::Sum);
   if (registry != nullptr) {
     const auto& names = registry->counter_names();
-    const std::size_t n = names.size();
-    DDS_CHECK(all_deltas.size() ==
-              n * static_cast<std::size_t>(comm_.size()));
-    std::vector<std::uint64_t> sum(n, 0);
-    for (std::size_t i = 0; i < all_deltas.size(); ++i) {
-      sum[i % n] += all_deltas[i];
-    }
-    report.metrics.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      report.metrics.push_back(EpochReport::MetricSample{names[i], sum[i]});
+    report.metrics.reserve(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      report.metrics.push_back(EpochReport::MetricSample{names[i], delta[i]});
     }
   }
-  report.resilience.retries = report.metric("retries");
-  report.resilience.failovers = report.metric("failovers");
-  report.resilience.checksum_failures = report.metric("checksum_failures");
-  report.resilience.degraded_reads = report.metric("degraded_reads");
-  report.traffic.lock_epochs = report.metric("lock_epochs");
-  report.traffic.rma_transfers = report.metric("rma_transfers");
-  report.traffic.coalesced_transfers = report.metric("coalesced_transfers");
-  report.traffic.coalesced_segments = report.metric("coalesced_segments");
-  report.traffic.coalesced_bytes = report.metric("coalesced_bytes");
-  report.traffic.lock_epochs_saved = report.metric("lock_epochs_saved");
-  report.traffic.batch_dup_hits = report.metric("batch_dup_hits");
-  report.traffic.coalesced_fallbacks = report.metric("coalesced_fallbacks");
   const double hidden_local =
       ploader_ ? ploader_->overlap_hidden_seconds() - hidden_at_start : 0.0;
   for (const double h : comm_.allgather_untimed(hidden_local)) {
@@ -158,9 +138,6 @@ void SimulatedTrainer::run_steps_pipelined() {
     const auto batch = loader_.next();
     DDS_CHECK(batch.has_value());
     profile_.add(Phase::Load, clock.now() - t_load0);
-    if (tracer_ != nullptr) {
-      tracer_->record("DataLoader::load_batch", clock.now() - t_load0);
-    }
     if (tr != nullptr) {
       tr->record(tracing::Category::Train, "load", t_load0, clock.now());
     }
@@ -172,7 +149,6 @@ void SimulatedTrainer::run_steps_pipelined() {
                                                   nominal_batch_payload);
     clock.advance(t_batch);
     profile_.add(Phase::Batch, t_batch);
-    if (tracer_ != nullptr) tracer_->record("Batch::collate", t_batch);
     const double cpu_done = clock.now();
     if (tr != nullptr) {
       tr->record(tracing::Category::Train, "collate", cpu_done - t_batch,
@@ -199,12 +175,6 @@ void SimulatedTrainer::run_steps_pipelined() {
     profile_.add(Phase::Optimizer, t_opt);
     gpu_free = comm_end + t_opt;
     gpu_done_history.push_back(gpu_free);
-    if (tracer_ != nullptr) {
-      tracer_->record("Model::forward", fb / 3.0);
-      tracer_->record("Model::backward", 2.0 * fb / 3.0);
-      tracer_->record("MPI_Allreduce(gradients)", comm_end - gpu_done);
-      tracer_->record("AdamW::step", t_opt);
-    }
     if (tr != nullptr) {
       tr->record(tracing::Category::Train, "forward", gpu_start,
                  gpu_start + fb / 3.0);
@@ -246,9 +216,6 @@ void SimulatedTrainer::run_steps_prefetching() {
     const auto batch = ploader_->next();
     DDS_CHECK(batch.has_value());
     profile_.add(Phase::Load, clock.now() - t_load0);
-    if (tracer_ != nullptr) {
-      tracer_->record("PrefetchingLoader::next", clock.now() - t_load0);
-    }
     if (tr != nullptr) {
       tr->record(tracing::Category::Train, "load", t_load0, clock.now());
     }
@@ -260,7 +227,6 @@ void SimulatedTrainer::run_steps_prefetching() {
                                                   nominal_batch_payload);
     clock.advance(t_batch);
     profile_.add(Phase::Batch, t_batch);
-    if (tracer_ != nullptr) tracer_->record("Batch::collate", t_batch);
     if (tr != nullptr) {
       tr->record(tracing::Category::Train, "collate", clock.now() - t_batch,
                  clock.now());
@@ -291,12 +257,6 @@ void SimulatedTrainer::run_steps_prefetching() {
     const double t_opt = compute_.optimizer_time(grad_bytes_);
     clock.advance(t_opt);
     profile_.add(Phase::Optimizer, t_opt);
-    if (tracer_ != nullptr) {
-      tracer_->record("Model::forward", fb / 3.0);
-      tracer_->record("Model::backward", 2.0 * fb / 3.0);
-      tracer_->record("MPI_Allreduce(gradients)", comm_end - gpu_done);
-      tracer_->record("AdamW::step", t_opt);
-    }
     if (tr != nullptr) {
       tr->record(tracing::Category::Train, "forward", t_fb0,
                  t_fb0 + fb / 3.0);

@@ -18,7 +18,6 @@
 #include "model/compute.hpp"
 #include "train/loader.hpp"
 #include "train/profiler.hpp"
-#include "train/trace.hpp"
 
 namespace dds::train {
 
@@ -48,35 +47,6 @@ struct SimTrainerConfig {
   double non_overlap_fraction = 0.05;
 };
 
-/// Job-wide resilience activity during one epoch (summed over ranks).
-/// All zero unless fault injection was armed and the backend is DDStore.
-/// A convenience view over EpochReport::metrics.
-struct ResilienceReport {
-  std::uint64_t retries = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t checksum_failures = 0;
-  std::uint64_t degraded_reads = 0;
-
-  bool any() const {
-    return retries != 0 || failovers != 0 || checksum_failures != 0 ||
-           degraded_reads != 0;
-  }
-};
-
-/// Fetch-path traffic during one epoch (summed over ranks): exactly what
-/// the configured BatchFetchMode issued.  Zero unless the backend is
-/// DDStore.  A convenience view over EpochReport::metrics.
-struct FetchTrafficReport {
-  std::uint64_t lock_epochs = 0;
-  std::uint64_t rma_transfers = 0;
-  std::uint64_t coalesced_transfers = 0;
-  std::uint64_t coalesced_segments = 0;
-  std::uint64_t coalesced_bytes = 0;
-  std::uint64_t lock_epochs_saved = 0;
-  std::uint64_t batch_dup_hits = 0;
-  std::uint64_t coalesced_fallbacks = 0;
-};
-
 struct EpochReport {
   /// One backend counter's per-epoch delta, summed across ranks.  Names
   /// come straight from the backend's MetricsRegistry, in registration
@@ -92,8 +62,6 @@ struct EpochReport {
   std::uint64_t global_samples = 0;
   double throughput = 0;          ///< samples / second, job-wide
   PhaseProfile mean_profile;      ///< mean per-rank phase seconds
-  ResilienceReport resilience;    ///< summed across ranks
-  FetchTrafficReport traffic;     ///< summed across ranks
   /// Every backend counter's epoch delta, summed across ranks (empty when
   /// the backend keeps no registry).
   std::vector<MetricSample> metrics;
@@ -138,10 +106,6 @@ class SimulatedTrainer {
   std::uint64_t gradient_bytes() const { return grad_bytes_; }
   const PhaseProfile& local_profile() const { return profile_; }
 
-  /// Optional Score-P-style tracer: named regions with call counts are
-  /// recorded on this rank (Fig. 7).
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
   /// Optional epoch-boundary hook, invoked (on every rank, with the
   /// rank-identical report) after each run_epoch finishes and before it
   /// returns.  This is where the elastic driver lives: the hook runs with
@@ -165,7 +129,6 @@ class SimulatedTrainer {
   std::optional<PrefetchingLoader> ploader_;
   std::uint64_t grad_bytes_;
   PhaseProfile profile_;   ///< cumulative across epochs (this rank)
-  Tracer* tracer_ = nullptr;
   EpochEndHook epoch_end_hook_;
 };
 

@@ -265,5 +265,36 @@ TEST_F(DDStoreTest, ReplicaGroupsAreIsolated) {
   });
 }
 
+using FetchMetricsLayout = DDStoreTest;
+
+TEST_F(FetchMetricsLayout, SameCountersInEveryConfiguration) {
+  // Every fetch-path, tier, hedge, scheduling and reshard counter is
+  // registered whatever the config, so snapshots of differently configured
+  // stores line up name for name.
+  DDStoreConfig armed;
+  armed.width = 4;
+  armed.cache_capacity_bytes = 64ull << 20;
+  armed.hedge.enabled = true;
+  armed.tiered.hot_fraction = 0.5;
+  armed.locality_mode = LocalityMode::OwnerGreedy;
+  std::vector<std::string> names[2];
+  const DDStoreConfig configs[2] = {DDStoreConfig{}, armed};
+  const auto reader = cff_reader();
+  for (int k = 0; k < 2; ++k) {
+    simmpi::Runtime rt(8, machine_);
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      DDStore store(c, reader, client, configs[k]);
+      const std::vector<std::string> at_construction =
+          store.metrics().counter_names();
+      const std::uint64_t ids[] = {0, 17, 33, 50, 63};
+      (void)store.get_batch(ids);
+      EXPECT_EQ(store.metrics().counter_names(), at_construction);
+      if (c.rank() == 0) names[k] = at_construction;
+    });
+  }
+  EXPECT_EQ(names[0], names[1]);
+}
+
 }  // namespace
 }  // namespace dds::core

@@ -87,8 +87,7 @@ TEST_F(TieredStoreTest, DefaultConfigHasNoStagingStage) {
     DDStore store(c, reader, client);
     EXPECT_EQ(store.staging(), nullptr);
     EXPECT_FALSE(store.layout().tiered());
-    // Every sample is hot; no tier counter was ever registered, so the
-    // stats view reads zeros through the registry's missing-name fallback.
+    // Every sample is hot, so the tier counters are never bumped.
     for (std::uint64_t id = 0; id < kSamples; ++id) {
       EXPECT_TRUE(store.layout().is_hot(id));
     }

@@ -65,7 +65,6 @@ TEST_F(ElasticStoreTest, ReshardSequencePreservesEverySample) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = 4;
-    cfg.elastic = true;
     DDStore store(c, reader, client, cfg);
 
     // Walk the width ladder both directions; verify after every swap.
@@ -90,23 +89,10 @@ TEST_F(ElasticStoreTest, SameWidthReshardIsANoOp) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = 4;
-    cfg.elastic = true;
     DDStore store(c, reader, client, cfg);
     const ReshardPlan plan = reshard(store, 4);
     EXPECT_TRUE(plan.ranks.empty());
     EXPECT_EQ(store.stats().reshards, 0u);
-  });
-}
-
-TEST_F(ElasticStoreTest, ReshardWithoutElasticFlagIsRefused) {
-  simmpi::Runtime rt(8, machine_);
-  const auto reader = cff_reader();
-  rt.run([&](simmpi::Comm& c) {
-    auto client = client_for(c);
-    DDStoreConfig cfg;
-    cfg.width = 4;  // note: elastic stays false
-    DDStore store(c, reader, client, cfg);
-    EXPECT_THROW(reshard(store, 2), InternalError);
   });
 }
 
@@ -117,7 +103,6 @@ TEST_F(ElasticStoreTest, CacheStaysValidAcrossReshard) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = 4;
-    cfg.elastic = true;
     cfg.cache_capacity_bytes = 64ull << 20;
     DDStore store(c, reader, client, cfg);
     for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
@@ -140,7 +125,6 @@ TEST_F(ElasticStoreTest, DeadRankIsRebuiltFromItsTwinAndRevived) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = 4;
-    cfg.elastic = true;
     DDStore store(c, reader, client, cfg);
     ElasticConfig ecfg;
     ecfg.adapt_width = false;  // isolate the fault-recovery hook
@@ -181,7 +165,6 @@ TEST_F(ElasticStoreTest, SingleReplicaGroupStaysDegradedInsteadOfRebuilding) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = 8;
-    cfg.elastic = true;
     DDStore store(c, reader, client, cfg);
     ElasticDriver driver(store, ElasticConfig{.adapt_width = false});
 
@@ -206,7 +189,6 @@ TEST_F(ElasticStoreTest, AdaptiveControllerConvergesToTheFeasibleFloor) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = 8;
-    cfg.elastic = true;
     DDStore store(c, reader, client, cfg);
 
     // Budget floor at width 2: width-1 chunks (the whole dataset) exceed

@@ -211,7 +211,6 @@ TEST_F(TieredElasticStoreTest, ReshardSequencePreservesEverySample) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = 4;
-    cfg.elastic = true;
     cfg.tiered.hot_fraction = 0.5;
     DDStore store(c, reader, client, cfg);
 

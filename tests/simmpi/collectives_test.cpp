@@ -48,6 +48,32 @@ TEST(Collectives, AllreduceInplaceVector) {
   });
 }
 
+TEST(Collectives, AllreduceInplaceUntimedSumsWithoutTouchingClocks) {
+  Runtime rt(4, test_machine());
+  rt.run([](Comm& c) {
+    c.clock().advance(0.001 * (c.rank() + 1));  // skewed clocks stay skewed
+    const double before = c.clock().now();
+    std::vector<std::uint64_t> counts = {static_cast<std::uint64_t>(c.rank()),
+                                         1, 1ull << 40};
+    c.allreduce_inplace_untimed(std::span<std::uint64_t>(counts), Op::Sum);
+    EXPECT_EQ(counts, (std::vector<std::uint64_t>{6, 4, 4ull << 40}));
+    EXPECT_EQ(c.clock().now(), before);
+    std::vector<std::uint64_t> none;
+    c.allreduce_inplace_untimed(std::span<std::uint64_t>(none), Op::Sum);
+    EXPECT_EQ(c.clock().now(), before);
+  });
+}
+
+TEST(Collectives, AllreduceInplaceUntimedRejectsUnequalLengths) {
+  Runtime rt(4, test_machine());
+  EXPECT_THROW(rt.run([](Comm& c) {
+                 std::vector<std::uint64_t> v(c.rank() == 2 ? 3 : 2, 1);
+                 c.allreduce_inplace_untimed(std::span<std::uint64_t>(v),
+                                             Op::Sum);
+               }),
+               InternalError);
+}
+
 TEST(Collectives, BcastScalarAndVector) {
   Runtime rt(5, test_machine());
   rt.run([](Comm& c) {

@@ -145,10 +145,11 @@ TEST_F(PrefetchTest, SimulatedTrainerPrefetchingModeReportsOverlap) {
     EXPECT_GT(report.overlap_hidden_s, 0.0);
     // The coalesced planner ran: traffic counters are populated and every
     // batch cost at most one lock epoch per distinct target.
-    EXPECT_GT(report.traffic.coalesced_transfers, 0u);
-    EXPECT_GT(report.traffic.lock_epochs_saved, 0u);
-    EXPECT_EQ(report.traffic.rma_transfers, report.traffic.coalesced_transfers);
-    EXPECT_EQ(report.traffic.coalesced_fallbacks, 0u);
+    EXPECT_GT(report.metric("coalesced_transfers"), 0u);
+    EXPECT_GT(report.metric("lock_epochs_saved"), 0u);
+    EXPECT_EQ(report.metric("rma_transfers"),
+              report.metric("coalesced_transfers"));
+    EXPECT_EQ(report.metric("coalesced_fallbacks"), 0u);
     // Sample latencies were recorded through the prefetching loader.
     EXPECT_EQ(trainer.sample_latencies().count(),
               sampler.steps_per_epoch() * 4);

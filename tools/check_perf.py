@@ -21,11 +21,12 @@ import sys
 
 def cell_key(cell):
     return (cell.get("machine"), cell.get("nranks"), cell.get("width"),
-            cell.get("pipeline"), cell.get("cache"))
+            cell.get("pipeline"), cell.get("cache"), cell.get("feature", ""))
 
 
 def fmt_key(key):
-    return f"{key[0]} n{key[1]} w{key[2]} {key[3]} cache={key[4]}"
+    text = f"{key[0]} n{key[1]} w{key[2]} {key[3]} cache={key[4]}"
+    return f"{text} feature={key[5]}" if key[5] else text
 
 
 def rel_delta(base_value, fresh_value):
