@@ -11,7 +11,10 @@
 // owner-greedy scheduling; the hedge cell adds a late straggler so hedges
 // fire), marked with a "feature" field.  Every cell reports the same
 // counter schema, so each feature's counters are exact-gated with real
-// values.
+// values.  A last "tenants=2 wrr" cell runs two tenants weighted 2:1 through
+// the MultiTenantDriver over one width-4 coalescing, caching store; it
+// reports a "tenants" array, one entry per tenant with its per-epoch
+// epoch_seconds and its labeled counters summed over the run.
 //
 // Output is a JSON array (one object per cell) with epoch times printed at
 // %.17g — enough digits to round-trip an IEEE-754 double exactly — plus
@@ -22,10 +25,14 @@
 // --perturb scales the modeled inter-node network latency by 1e-4 (a
 // deliberately tiny cost-model change).  It exists only to prove the gate
 // has teeth: a perturbed run must *fail* check_perf.py.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/harness.hpp"
+#include "tenant/driver.hpp"
 
 using namespace dds;
 using namespace dds::bench;
@@ -81,6 +88,81 @@ void print_cell(bool first, const Cell& cell, const RunResult& result) {
   }
   const std::string counters = metrics_json_fields(result.summed_metrics());
   std::printf("], \"counters\": {%s}}", counters.c_str());
+}
+
+/// Two tenants weighted 2:1 (seeds 42/43) under weighted round-robin over
+/// one width-4 Coalesced store with an unbounded cache: the shared-store
+/// read path, per-tenant attribution and arbiter interleaving under the
+/// exact gate.
+void print_tenant_cell(StagedData& data, const Scenario& sc) {
+  std::vector<tenant::TenantSpec> specs(2);
+  specs[0].name = "a";
+  specs[0].seed = 42;
+  specs[0].weight = 2.0;
+  specs[1].name = "b";
+  specs[1].seed = 43;
+  specs[1].weight = 1.0;
+  for (auto& s : specs) s.local_batch = sc.local_batch;
+
+  data.fs().reset_time_state();
+  std::vector<std::vector<tenant::TenantEpochReport>> epochs;
+  simmpi::Runtime rt(sc.nranks, sc.machine, sc.seed);
+  rt.run([&](simmpi::Comm& comm) {
+    fs::FsClient client(data.fs(), sc.machine.node_of_rank(comm.world_rank()),
+                        comm.clock(), comm.rng());
+    core::DDStoreConfig cfg = sc.ddstore;
+    cfg.width = 4;
+    cfg.batch_fetch = core::BatchFetchMode::Coalesced;
+    cfg.cache_capacity_bytes = 1ull << 40;
+    core::DDStore store(comm, data.cff(), client, cfg);
+    tenant::TenantRegistry registry(store);
+    for (const auto& s : specs) registry.admit(s);
+    tenant::DriverConfig dcfg;
+    dcfg.input_dim = data.input_dim();
+    tenant::MultiTenantDriver driver(comm, registry, sc.machine, dcfg);
+    for (int e = 0; e < sc.epochs; ++e) {
+      auto reports = driver.run_epoch(static_cast<std::uint64_t>(e));
+      if (comm.rank() == 0) epochs.push_back(std::move(reports));
+    }
+  });
+
+  std::printf(
+      ",\n  {\"machine\": \"perlmutter\", \"nranks\": %d, \"width\": 4, "
+      "\"pipeline\": \"coalesced\", \"cache\": \"unbounded\", "
+      "\"feature\": \"tenants=2 wrr\", \"tenants\": [",
+      sc.nranks);
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    std::uint64_t bytes = 0, hits = 0, misses = 0, hit_bytes = 0, locks = 0,
+                  served = 0;
+    int max_wait = 0;
+    std::string seconds;
+    for (const auto& reports : epochs) {
+      const tenant::TenantEpochReport& r = reports[k];
+      if (!seconds.empty()) seconds += ", ";
+      seconds += exact(r.epoch_seconds);
+      bytes += r.bytes_fetched;
+      hits += r.cache_hits;
+      misses += r.cache_misses;
+      hit_bytes += r.cache_hit_bytes;
+      locks += r.lock_epochs;
+      served += r.served_bytes;
+      max_wait = std::max(max_wait, r.max_wait_grants);
+    }
+    std::printf(
+        "%s\n    {\"name\": \"%s\", \"epoch_seconds\": [%s], \"counters\": "
+        "{\"bytes_fetched\": %llu, \"cache_hits\": %llu, "
+        "\"cache_misses\": %llu, \"cache_hit_bytes\": %llu, "
+        "\"lock_epochs\": %llu, \"served_bytes\": %llu, "
+        "\"max_wait_grants\": %d}}",
+        k == 0 ? "" : ",", specs[k].name.c_str(), seconds.c_str(),
+        static_cast<unsigned long long>(bytes),
+        static_cast<unsigned long long>(hits),
+        static_cast<unsigned long long>(misses),
+        static_cast<unsigned long long>(hit_bytes),
+        static_cast<unsigned long long>(locks),
+        static_cast<unsigned long long>(served), max_wait);
+  }
+  std::printf("]}");
 }
 
 }  // namespace
@@ -157,6 +239,7 @@ int main(int argc, char** argv) {
     print_cell(first, cell, result);
     first = false;
   }
+  print_tenant_cell(data, sc);
   std::printf("\n]\n");
   return 0;
 }

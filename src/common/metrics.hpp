@@ -180,7 +180,7 @@ class MetricsRegistry {
   }
 
   /// Value of a registered counter; 0 when the name was never registered
-  /// (a view asking about a stage that is not armed reads zero activity).
+  /// (e.g. the labeled counter of a tenant that was never admitted).
   std::uint64_t counter_value(const std::string& name) const {
     const auto it = counter_index_.find(name);
     if (it == counter_index_.end()) return 0;

@@ -106,15 +106,6 @@ class DDStore {
   /// The Cache stage's LRU (read-only; capacity 0 means disabled).
   const fetch::SampleCache& sample_cache() const { return engine_->cache(); }
 
-  /// Installs (or clears, with nullptr) the active tenant scope on the
-  /// read path (see fetch::TenantScope).  The tenant layer (src/tenant)
-  /// swaps scopes around each tenant's loads; single-tenant callers never
-  /// touch this.
-  void set_tenant_scope(fetch::TenantScope* scope) {
-    engine_->set_tenant(scope);
-  }
-  fetch::TenantScope* tenant_scope() const { return engine_->tenant(); }
-
   /// The Staging stage (tiered mode only; nullptr when
   /// config.tiered.hot_fraction == 1.0).  Exposes the staged-set LRU and
   /// the in-flight queue depth for tests and diagnostics.

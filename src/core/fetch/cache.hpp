@@ -22,20 +22,8 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/metrics.hpp"
 
 namespace dds::core::fetch {
-
-/// Per-consumer attribution for a *shared* cache: when several tenants hit
-/// one SampleCache, each hit/miss is charged to the requesting tenant's
-/// labeled counters in addition to the engine's global cache counters.
-/// All pointers optional; an unset consumer (the single-tenant default)
-/// makes every charge a no-op, so this is a pure refactor at tenants = 1.
-struct CacheAttribution {
-  MetricsRegistry::Counter* hits = nullptr;
-  MetricsRegistry::Counter* misses = nullptr;
-  MetricsRegistry::Counter* hit_bytes = nullptr;
-};
 
 class SampleCache {
  public:
@@ -69,31 +57,6 @@ class SampleCache {
   /// Resident ids from most- to least-recently-used (tests/diagnostics).
   std::vector<std::uint64_t> ids_mru_to_lru() const;
 
-  // ---- consumer attribution seam ----------------------------------------
-  // The engine installs the active tenant's attribution around its loads
-  // (and clears it after); the charge helpers are called at the exact
-  // points where the engine bumps its global cache counters, keeping the
-  // two views consistent by construction.
-
-  /// Installs (or clears, with nullptr) the consumer charged for
-  /// subsequent hits/misses.  Non-owning; the caller keeps it alive.
-  void set_consumer(const CacheAttribution* consumer) { consumer_ = consumer; }
-  const CacheAttribution* consumer() const { return consumer_; }
-
-  /// Charges one hit of `bytes` payload bytes to the active consumer.
-  void charge_hit(std::uint64_t bytes) const {
-    if (consumer_ == nullptr) return;
-    if (consumer_->hits != nullptr) ++*consumer_->hits;
-    if (consumer_->hit_bytes != nullptr) *consumer_->hit_bytes += bytes;
-  }
-
-  /// Charges `count` misses to the active consumer.
-  void charge_misses(std::uint64_t count) const {
-    if (consumer_ != nullptr && consumer_->misses != nullptr) {
-      *consumer_->misses += count;
-    }
-  }
-
  private:
   struct Entry {
     std::uint64_t id;
@@ -104,7 +67,6 @@ class SampleCache {
   std::uint64_t size_ = 0;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  const CacheAttribution* consumer_ = nullptr;  ///< non-owning, optional
 };
 
 }  // namespace dds::core::fetch

@@ -11,10 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/metrics.hpp"
-#include "core/fetch/cache.hpp"
 #include "core/layout.hpp"
 #include "core/store_config.hpp"
 #include "fs/parallel_fs.hpp"
@@ -121,40 +119,6 @@ struct FetchMetrics {
   MetricsRegistry::Counter& sched_remote_bytes;
 };
 
-/// Fairness/QoS hook at the Transport stage.  The transport calls
-/// on_lock_epoch(target) immediately before issuing each lock epoch —
-/// the unit the per-target serialization model charges contention in —
-/// which is exactly where a multi-tenant arbiter observes (and accounts)
-/// the service a tenant consumed.  The hook must not perform collectives
-/// or block: it is an observation/accounting seam on lock-epoch issue
-/// order, not a second scheduler inside the RMA model.
-class TransportGate {
- public:
-  virtual ~TransportGate() = default;
-  virtual void on_lock_epoch(int target) = 0;
-};
-
-/// Per-tenant accounting scope (src/tenant).  The tenant layer installs a
-/// scope around one tenant's loads via DDStore::set_tenant_scope(); while
-/// active, the engine and transport mirror their global counter bumps into
-/// these labeled counters, the cache charges the scope's CacheAttribution,
-/// and per-sample decode latency is recorded into `latency` as well as the
-/// global recorder.  All pointers optional and non-owning.  Never set in
-/// the single-tenant default — the only cost then is a null check per
-/// accounting site, and the registry layout does not change.
-struct TenantScope {
-  MetricsRegistry::Counter* local_gets = nullptr;
-  MetricsRegistry::Counter* remote_gets = nullptr;
-  MetricsRegistry::Counter* bytes_fetched = nullptr;
-  MetricsRegistry::Counter* lock_epochs = nullptr;
-  LatencyRecorder* latency = nullptr;
-  CacheAttribution cache;        ///< installed into the SampleCache
-  TransportGate* gate = nullptr; ///< QoS arbiter's transport-stage hook
-  /// Per-tenant override of DDStoreConfig::batch_fetch (a tenant may e.g.
-  /// run PerSample while the store default is Coalesced).
-  std::optional<BatchFetchMode> batch_fetch;
-};
-
 /// Everything a fetch stage may consult.  All pointers are non-owning and
 /// outlive the engine (they point into the DDStore that built it).
 ///
@@ -173,10 +137,6 @@ struct FetchContext {
   fs::FsClient* fs_client = nullptr;
   FetchMetrics* metrics = nullptr;
   std::uint64_t nominal_sample_bytes = 0;
-  /// Active tenant scope, or nullptr (the single-tenant default).  Unlike
-  /// the config this is *per-call* state, not per-construction: the
-  /// tenant layer swaps it around each tenant's loads.
-  TenantScope* tenant = nullptr;
 
   const DataRegistry& registry() const { return layout->registry(); }
   int width() const { return layout->width(); }

@@ -65,30 +65,13 @@ void FetchEngine::admit(std::uint64_t id, ByteSpan bytes) {
 }
 
 void FetchEngine::account_get(int owner, std::uint64_t length) {
-  TenantScope* tenant = ctx_.tenant;
   if (owner == ctx_.group->rank()) {
     ++metrics_.local_gets;
-    if (tenant != nullptr && tenant->local_gets != nullptr) {
-      ++*tenant->local_gets;
-    }
   } else {
     ++metrics_.remote_gets;
-    if (tenant != nullptr && tenant->remote_gets != nullptr) {
-      ++*tenant->remote_gets;
-    }
   }
   metrics_.bytes_fetched += length;
   metrics_.nominal_bytes_fetched += ctx_.nominal_sample_bytes;
-  if (tenant != nullptr && tenant->bytes_fetched != nullptr) {
-    *tenant->bytes_fetched += length;
-  }
-}
-
-void FetchEngine::record_latency(double seconds) {
-  metrics_.latency.add(seconds);
-  if (ctx_.tenant != nullptr && ctx_.tenant->latency != nullptr) {
-    ctx_.tenant->latency->add(seconds);
-  }
 }
 
 ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
@@ -105,7 +88,6 @@ ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
     if (const ByteBuffer* hit = cache_.lookup(id)) {
       ++metrics_.cache_hits;
       metrics_.cache_hit_bytes += entry.length;
-      cache_.charge_hit(entry.length);
       tracing::Span span(ctx_.tracer(), ctx_.clock(), tracing::Category::Cache,
                          "cache_hit");
       span.args().sample_id = static_cast<std::int64_t>(id);
@@ -114,7 +96,6 @@ ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
       return *hit;
     }
     ++metrics_.cache_misses;
-    cache_.charge_misses(1);
     if (tracing::EventTracer* tr = ctx_.tracer()) {
       tracing::EventArgs args;
       args.sample_id = static_cast<std::int64_t>(id);
@@ -172,7 +153,7 @@ graph::GraphSample FetchEngine::get(std::uint64_t id) {
   const ByteBuffer bytes = get_bytes(id);
   decode_.charge(clock, ctx_.nominal_sample_bytes);
   auto sample = graph::GraphSample::deserialize(bytes);
-  record_latency(clock.now() - t0);
+  metrics_.latency.add(clock.now() - t0);
   return sample;
 }
 
@@ -186,13 +167,7 @@ std::vector<graph::GraphSample> FetchEngine::get_batch(
   if (ctx_.config->comm_mode == CommMode::TwoSided) {
     return get_batch_per_sample(ids);
   }
-  // A tenant scope may override the store-wide batch-fetch mode (e.g. one
-  // PerSample tenant beside Coalesced ones over the same engine).
-  const BatchFetchMode mode =
-      (ctx_.tenant != nullptr && ctx_.tenant->batch_fetch.has_value())
-          ? *ctx_.tenant->batch_fetch
-          : ctx_.config->batch_fetch;
-  switch (mode) {
+  switch (ctx_.config->batch_fetch) {
     case BatchFetchMode::PerSample:
       return get_batch_per_sample(ids);
     case BatchFetchMode::LockPerTarget:
@@ -223,7 +198,7 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_per_sample(
     }
     decode_.charge(clock, ctx_.nominal_sample_bytes);
     out[i] = graph::GraphSample::deserialize(it->second);
-    record_latency(clock.now() - t0);
+    metrics_.latency.add(clock.now() - t0);
   }
   return out;
 }
@@ -274,7 +249,6 @@ void FetchEngine::serve_cache_hit(const PlannedSample& sample,
   DDS_CHECK(bytes != nullptr);
   ++metrics_.cache_hits;
   metrics_.cache_hit_bytes += sample.length;
-  cache_.charge_hit(sample.length);
   auto& clock = ctx_.clock();
   const double t0 = clock.now();
   {
@@ -321,7 +295,6 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
       plan.unique_samples - static_cast<std::uint64_t>(plan.targets.size());
   if (cache_.enabled()) {
     metrics_.cache_misses += plan.unique_samples;
-    cache_.charge_misses(plan.unique_samples);
   }
 
   // Partition the diverted samples.  Cache first: after an elastic reshard
@@ -456,7 +429,7 @@ void FetchEngine::decode_occurrences(const PlannedSample& sample,
     const double t0 = clock.now();
     decode_.charge(clock, ctx_.nominal_sample_bytes);
     out[pos] = graph::GraphSample::deserialize(bytes);
-    record_latency(fetch_share + (clock.now() - t0));
+    metrics_.latency.add(fetch_share + (clock.now() - t0));
   }
 }
 

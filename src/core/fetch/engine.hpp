@@ -65,19 +65,6 @@ class FetchEngine {
 
   const SampleCache& cache() const { return cache_; }
 
-  /// Installs (or clears, with nullptr) the active tenant scope.  While
-  /// set, the Verify/Account stage mirrors its global counter bumps into
-  /// the scope's labeled counters, the shared cache charges the scope's
-  /// CacheAttribution, the transport consults the scope's TransportGate
-  /// before each lock epoch, and the scope's batch_fetch override applies.
-  /// Per-call state: the tenant layer swaps scopes around each tenant's
-  /// loads; never set in the single-tenant default.
-  void set_tenant(TenantScope* scope) {
-    ctx_.tenant = scope;
-    cache_.set_consumer(scope != nullptr ? &scope->cache : nullptr);
-  }
-  TenantScope* tenant() const { return ctx_.tenant; }
-
   /// The Staging stage, present iff config.tiered.enabled() (tests and the
   /// store's staged-set view).
   const StagingStage* staging() const {
@@ -145,12 +132,8 @@ class FetchEngine {
   void admit(std::uint64_t id, ByteSpan bytes);
 
   /// Verify/Account bookkeeping for one delivered payload (local/remote
-  /// classification + byte counts), mirrored into the active tenant scope.
+  /// classification + byte counts).
   void account_get(int owner, std::uint64_t length);
-
-  /// Records one sample-load latency, mirrored into the active tenant
-  /// scope's recorder.
-  void record_latency(double seconds);
 
   FetchMetrics metrics_;
   FetchContext ctx_;

@@ -7,13 +7,6 @@
 namespace dds::core::fetch {
 
 void RmaTransport::lock(int target) {
-  // QoS seam: the active tenant (if any) is consulted and charged at
-  // lock-epoch issue — the unit the per-target serialization model charges
-  // contention in — before the window lock is taken.
-  if (TenantScope* tenant = ctx_->tenant) {
-    if (tenant->gate != nullptr) tenant->gate->on_lock_epoch(target);
-    if (tenant->lock_epochs != nullptr) ++*tenant->lock_epochs;
-  }
   ctx_->window->lock(target, simmpi::LockType::Shared);
   ++ctx_->metrics->lock_epochs;
   if (tracing::EventTracer* tr = ctx_->tracer()) {

@@ -48,10 +48,13 @@ class VirtualClock {
 /// over from the preceding buckets.  Properties:
 ///
 ///  * An idle resource adds zero delay.
-///  * Requests that overlap in *virtual* time contend, no matter which
-///    order the rank threads happen to execute in wall-clock time — this
-///    order-insensitivity is essential because the simulation runs rank
-///    threads with arbitrary (often fully serialized) scheduling.
+///  * Requests that overlap in *virtual* time contend whatever order the
+///    ranks execute in.  Who pays is order-sensitive, though: an acquire
+///    waits behind the occupancy already deposited in its bucket, so of
+///    two requests in one bucket the one acquired later pays for the
+///    earlier.  The fiber schedule is fixed, so results are deterministic,
+///    but anything that changes which rank runs first (even an untimed
+///    collective, simmpi/runtime.hpp) can move modeled times.
 ///  * Under closed-loop saturation, per-op latency degrades toward
 ///    (concurrent clients) x (service time), the M/D/1-ish behaviour that
 ///    makes PFF/CFF flatten at scale in the paper's Fig. 8.

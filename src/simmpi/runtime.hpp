@@ -279,8 +279,14 @@ class Comm {
   }
 
   /// allgather that does NOT advance virtual clocks — for simulation
-  /// harnesses that need to exchange bookkeeping (e.g. per-rank GPU
-  /// completion times) without perturbing the time model.
+  /// harnesses that exchange bookkeeping (e.g. per-rank GPU completion
+  /// times).  Untimed is not unperturbed: like every collective it is a
+  /// barrier, and the last rank to arrive runs on without yielding while
+  /// the scheduler's scan resumes after it, so each exchange changes which
+  /// rank runs first afterwards.  BusyResource (model/clock.hpp) charges a
+  /// bucket's earlier deposits to whichever rank acquires later, so adding
+  /// or removing an untimed exchange can shift later modeled times.  It
+  /// never changes counters or payload bytes.
   template <typename T>
     requires TriviallySerializable<T>
   std::vector<T> allgather_untimed(const T& value) {
@@ -297,7 +303,8 @@ class Comm {
 
   /// Variable-count allgather that does NOT advance virtual clocks — the
   /// vector analogue of allgather_untimed, for exchanging per-rank metric
-  /// snapshots and other bookkeeping without perturbing the time model.
+  /// snapshots and other bookkeeping (it reorders the fiber schedule the
+  /// same way; see allgather_untimed).
   template <typename T>
     requires TriviallySerializable<T>
   std::vector<T> allgatherv_untimed(std::span<const T> mine) {
@@ -321,7 +328,8 @@ class Comm {
 
   /// Element-wise reduction that does NOT advance virtual clocks — the
   /// reducing analogue of allgatherv_untimed, for summing per-rank metric
-  /// deltas without holding every rank's copy.  Every rank folds the
+  /// deltas without holding every rank's copy (it reorders the fiber
+  /// schedule the same way; see allgather_untimed).  Every rank folds the
   /// published snapshots in rank order, so all ranks get the same result.
   /// Throws InternalError (on every rank) unless all ranks pass the same
   /// length.

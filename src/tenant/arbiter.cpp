@@ -128,8 +128,4 @@ int QosArbiter::next() {
   return chosen;
 }
 
-void QosArbiter::charge_service(int id, std::uint64_t units) {
-  tenants_.at(checked(id)).service += units;
-}
-
 }  // namespace dds::tenant

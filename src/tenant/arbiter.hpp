@@ -13,8 +13,7 @@
 // allreduces.  The arbiter is therefore fed only rank-identical inputs —
 // admission order, weights, NOMINAL step costs (batch × nominal sample
 // bytes), and runnable transitions (steps-per-epoch is rank-identical).
-// Measured per-rank service (lock epochs observed at the transport gate)
-// feeds observability only, never the schedule.
+// Measured per-rank values (latencies, lock epochs) never feed it.
 #pragma once
 
 #include <cstdint>
@@ -66,14 +65,6 @@ class QosArbiter {
   /// any_runnable().  Deterministic: a pure function of the call history.
   int next();
 
-  /// Observability: measured service units (e.g. lock epochs from the
-  /// transport gate) charged to a tenant.  NEVER consulted by next() —
-  /// measured values differ across ranks and would diverge the schedule.
-  void charge_service(int id, std::uint64_t units);
-  std::uint64_t service(int id) const {
-    return tenants_.at(checked(id)).service;
-  }
-
   /// Grants issued to a tenant so far.
   std::uint64_t grants(int id) const { return tenants_.at(checked(id)).grants; }
 
@@ -82,7 +73,7 @@ class QosArbiter {
   int max_wait(int id) const { return tenants_.at(checked(id)).max_wait; }
 
   /// Resets per-epoch fairness state (waits, bursts, cursor, passes),
-  /// keeping registration, weights, and service totals.
+  /// keeping registration, weights, and grant totals.
   void begin_epoch();
 
   const QosPolicy& policy() const { return policy_; }
@@ -98,7 +89,6 @@ class QosArbiter {
     int max_wait = 0;
     int burst = 0;     ///< consecutive grants
     std::uint64_t grants = 0;
-    std::uint64_t service = 0;
   };
 
   std::size_t checked(int id) const {

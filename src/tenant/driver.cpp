@@ -18,24 +18,11 @@ MultiTenantDriver::MultiTenantDriver(simmpi::Comm& comm,
                                               config.output_dim)),
       arbiter_(config.policy) {
   DDS_CHECK_MSG(tenants.size() > 0, "driver needs at least one tenant");
-  gates_.reserve(tenants.size());
   for (std::size_t k = 0; k < tenants.size(); ++k) {
     TenantContext& t = tenants.at(static_cast<int>(k));
     // Arbiter inputs are rank-identical by construction: admission order,
     // spec weight, and NOMINAL step demand.  Never feed measured values in.
     arbiter_.add_tenant(t.spec().weight, t.step_demand_bytes());
-    gates_.emplace_back(arbiter_, static_cast<int>(k));
-  }
-  for (std::size_t k = 0; k < tenants.size(); ++k) {
-    tenants.at(static_cast<int>(k)).scope().gate = &gates_[k];
-  }
-}
-
-MultiTenantDriver::~MultiTenantDriver() {
-  // Unwire the gates: scopes may outlive the driver.
-  for (std::size_t k = 0; k < tenants_->size(); ++k) {
-    TenantContext& t = tenants_->at(static_cast<int>(k));
-    if (t.scope().gate != nullptr) t.scope().gate = nullptr;
   }
 }
 
@@ -68,13 +55,11 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
   std::vector<std::uint64_t> cursor(static_cast<std::size_t>(n), 0);
   std::vector<double> gpu_free(static_cast<std::size_t>(n), epoch_begin);
   std::vector<double> completion(static_cast<std::size_t>(n), epoch_begin);
-  std::vector<std::uint64_t> service_at_start(static_cast<std::size_t>(n), 0);
   for (int k = 0; k < n; ++k) {
     TenantContext& t = tenants_->at(k);
     t.sampler().begin_epoch(epoch, comm_);
     t.latencies() = LatencyRecorder{};
     steps[static_cast<std::size_t>(k)] = t.sampler().steps_per_epoch();
-    service_at_start[static_cast<std::size_t>(k)] = arbiter_.service(k);
     arbiter_.set_runnable(k, steps[static_cast<std::size_t>(k)] > 0);
   }
 
@@ -129,7 +114,8 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     clock.advance_to(completion[static_cast<std::size_t>(k)]);
   }
 
-  // ---- reporting (untimed exchanges; must not perturb the time model) ----
+  // ---- reporting (untimed exchanges: no clock advances, but each one
+  // reorders the fiber schedule — see Comm::allgather_untimed) ----
   std::vector<std::uint64_t> summed = registry.counter_values();
   DDS_CHECK_MSG(summed.size() == counters_at_start.size(),
                 "metrics registered mid-epoch break delta accounting");
@@ -192,16 +178,6 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
         summed_counter(MetricsRegistry::labeled_name("lock_epochs", label));
     r.served_bytes = r.bytes_fetched + r.cache_hit_bytes;
     r.max_wait_grants = arbiter_.max_wait(k);
-
-    const double service_delta = static_cast<double>(
-        arbiter_.service(k) - service_at_start[static_cast<std::size_t>(k)]);
-    double service_sum = 0;
-    for (const double s : comm_.allgather_untimed(service_delta)) {
-      service_sum += s;
-    }
-    r.arbiter_service = static_cast<std::uint64_t>(service_sum);
-
-    t.epochs_done = epoch + 1;
   }
   return reports;
 }
@@ -215,6 +191,7 @@ std::vector<train::TrainEpochResult> MultiTenantDriver::run_real_epoch(
   arbiter_.begin_epoch();
   std::vector<std::uint64_t> cursor(static_cast<std::size_t>(n), 0);
   for (int k = 0; k < n; ++k) {
+    tenants_->at(k).latencies() = LatencyRecorder{};
     trainers[static_cast<std::size_t>(k)]->begin_epoch(epoch);
     arbiter_.set_runnable(
         k, trainers[static_cast<std::size_t>(k)]->train_steps() > 0);

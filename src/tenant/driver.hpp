@@ -12,8 +12,9 @@
 // Per-epoch, the driver reports per tenant: wall epoch seconds (what the
 // tenant experienced under sharing), throughput, p50/p99 fetch latency
 // (merged across ranks), labeled counter deltas (bytes, cache hits, lock
-// epochs), the arbiter's starvation metric, and measured transport
-// service.  bench_multitenant pins fairness gates on these.
+// epochs — charged at the tenant's mount, see tenant.hpp) and the
+// arbiter's starvation metric.  bench_multitenant pins fairness gates on
+// these.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +55,7 @@ struct TenantEpochReport {
   /// bytes_fetched + cache_hit_bytes: every payload byte served to the
   /// tenant, however it arrived — the solo-vs-shared isolation invariant.
   std::uint64_t served_bytes = 0;
-  int max_wait_grants = 0;           ///< arbiter starvation metric
-  std::uint64_t arbiter_service = 0; ///< measured lock epochs, all ranks
+  int max_wait_grants = 0;  ///< arbiter starvation metric
 };
 
 class MultiTenantDriver {
@@ -66,7 +66,6 @@ class MultiTenantDriver {
   MultiTenantDriver(simmpi::Comm& comm, TenantRegistry& tenants,
                     const model::MachineConfig& machine,
                     DriverConfig config = {});
-  ~MultiTenantDriver();
   MultiTenantDriver(const MultiTenantDriver&) = delete;
   MultiTenantDriver& operator=(const MultiTenantDriver&) = delete;
 
@@ -84,21 +83,6 @@ class MultiTenantDriver {
   QosArbiter& arbiter() { return arbiter_; }
 
  private:
-  /// TransportGate adapter: charges measured lock epochs to the arbiter's
-  /// per-tenant service counter (observability only).
-  class GateAdapter final : public core::fetch::TransportGate {
-   public:
-    GateAdapter(QosArbiter& arbiter, int tenant)
-        : arbiter_(&arbiter), tenant_(tenant) {}
-    void on_lock_epoch(int /*target*/) override {
-      arbiter_->charge_service(tenant_, 1);
-    }
-
-   private:
-    QosArbiter* arbiter_;
-    int tenant_;
-  };
-
   void align_cpu_clocks();
 
   simmpi::Comm comm_;
@@ -107,7 +91,6 @@ class MultiTenantDriver {
   DriverConfig config_;
   std::uint64_t grad_bytes_;
   QosArbiter arbiter_;
-  std::vector<GateAdapter> gates_;  ///< one per tenant, wired into scopes
 };
 
 }  // namespace dds::tenant

@@ -1,29 +1,55 @@
 #include "tenant/tenant.hpp"
 
+#include <array>
+
 namespace dds::tenant {
 
 namespace {
 
+/// Fetch counters charged per tenant, in labeled-registration order (the
+/// order fixes counter names' positions in every snapshot and bench JSON).
+constexpr std::array<const char*, 7> kAttributed = {
+    "local_gets", "remote_gets",  "bytes_fetched",  "lock_epochs",
+    "cache_hits", "cache_misses", "cache_hit_bytes"};
+
 /// The tenant's DataBackend view of the shared store: translates mounted
-/// ids by mount_first and installs the tenant's scope around every load,
-/// so ANY trainer driving this backend gets per-tenant attribution (and
-/// the tenant's batch-fetch override) transparently.
+/// ids by mount_first and charges every load to the tenant, so ANY trainer
+/// driving this backend gets per-tenant attribution transparently.
+///
+/// A load is charged by reading the store's registry around the call: the
+/// growth of each global counter in kAttributed goes to its labeled twin,
+/// and the sample latencies recorded during the call are copied into the
+/// tenant's recorder.  This is exact because a rank is one fiber — nothing
+/// else touches this rank's registry while the call runs.
 class MountedBackend final : public train::DataBackend {
  public:
   MountedBackend(core::DDStore& store, TenantContext& owner)
-      : store_(&store), owner_(&owner) {}
+      : store_(&store),
+        owner_(&owner),
+        global_latency_(&store.metrics().latency("sample_load_s")) {
+    // Labeled counters: ordinary registry entries named e.g.
+    // "bytes_fetched{tenant=alice}" — EpochReport deltas, cross-rank sums,
+    // and bench JSON pick them up generically.  Registered at admit time,
+    // which must happen before the first epoch (the trainer's delta
+    // accounting checks the layout is stable across an epoch).
+    const MetricLabel label{"tenant", owner.spec().name};
+    MetricsRegistry& metrics = store.metrics();
+    for (std::size_t i = 0; i < kAttributed.size(); ++i) {
+      global_[i] = &metrics.counter(kAttributed[i]);
+      labeled_[i] = &metrics.counter(kAttributed[i], label);
+    }
+  }
 
   graph::GraphSample load(std::uint64_t id) override {
-    ScopedTenant guard(*store_, owner_->scope());
-    return store_->get(translate(id));
+    const std::uint64_t mounted = translate(id);
+    return charged([&] { return store_->get(mounted); });
   }
 
   std::vector<graph::GraphSample> load_batch(
       std::span<const std::uint64_t> ids) override {
     std::vector<std::uint64_t> mounted(ids.size());
     for (std::size_t i = 0; i < ids.size(); ++i) mounted[i] = translate(ids[i]);
-    ScopedTenant guard(*store_, owner_->scope());
-    return store_->get_batch(mounted);
+    return charged([&] { return store_->get_batch(mounted); });
   }
 
   std::uint64_t num_samples() const override {
@@ -46,8 +72,30 @@ class MountedBackend final : public train::DataBackend {
     return owner_->spec().mount_first + id;
   }
 
+  /// Runs one store call and charges what it recorded to the tenant.
+  template <typename Load>
+  auto charged(Load load) -> decltype(load()) {
+    std::array<std::uint64_t, kAttributed.size()> before{};
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      before[i] = global_[i]->value();
+    }
+    const std::size_t recorded_before = global_latency_->count();
+    auto out = load();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      *labeled_[i] += global_[i]->value() - before[i];
+    }
+    const std::vector<double>& recorded = global_latency_->raw();
+    for (std::size_t i = recorded_before; i < recorded.size(); ++i) {
+      owner_->latencies().add(recorded[i]);
+    }
+    return out;
+  }
+
   core::DDStore* store_;
   TenantContext* owner_;
+  const LatencyRecorder* global_latency_;
+  std::array<const MetricsRegistry::Counter*, kAttributed.size()> global_{};
+  std::array<MetricsRegistry::Counter*, kAttributed.size()> labeled_{};
 };
 
 }  // namespace
@@ -57,25 +105,8 @@ TenantContext::TenantContext(Passkey, int id, TenantSpec spec,
     : id_(id),
       spec_(std::move(spec)),
       store_(&store),
-      sampler_(spec_.mount_samples, spec_.local_batch, spec_.seed) {
-  // Labeled counters: ordinary registry entries named e.g.
-  // "bytes_fetched{tenant=alice}" — EpochReport deltas, cross-rank sums,
-  // and bench JSON pick them up generically.  Registered at admit time,
-  // which must happen before the first epoch (the trainer's delta
-  // accounting checks the layout is stable across an epoch).
-  const MetricLabel label{"tenant", spec_.name};
-  MetricsRegistry& metrics = store.metrics();
-  scope_.local_gets = &metrics.counter("local_gets", label);
-  scope_.remote_gets = &metrics.counter("remote_gets", label);
-  scope_.bytes_fetched = &metrics.counter("bytes_fetched", label);
-  scope_.lock_epochs = &metrics.counter("lock_epochs", label);
-  scope_.cache.hits = &metrics.counter("cache_hits", label);
-  scope_.cache.misses = &metrics.counter("cache_misses", label);
-  scope_.cache.hit_bytes = &metrics.counter("cache_hit_bytes", label);
-  scope_.latency = &latency_;
-  scope_.batch_fetch = spec_.batch_fetch;
-  backend_ = std::make_unique<MountedBackend>(store, *this);
-}
+      sampler_(spec_.mount_samples, spec_.local_batch, spec_.seed),
+      backend_(std::make_unique<MountedBackend>(store, *this)) {}
 
 TenantRegistry::TenantRegistry(core::DDStore& store, AdmissionConfig admission)
     : store_(&store), admission_(admission) {

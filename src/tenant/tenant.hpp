@@ -7,14 +7,17 @@
 // shared store.  The tenant layer adds exactly the state that must be
 // per-job and shares everything else:
 //
-//   per-tenant:  sampler + epoch/step cursors, dataset mount (an id range
-//                of the shared store), config overrides (batch size,
-//                batch-fetch mode), labeled metrics + fetch-latency
-//                recorder, QoS weight
-//   shared:      windows, replica groups, tiered store, SampleCache — one
-//                instance each, so aggregate memory footprint does NOT
-//                multiply with N; per-tenant byte/hit attribution comes
-//                from labeled counters and the cache's consumer seam.
+//   per-tenant:  shuffle sampler, dataset mount (an id range of the
+//                shared store), batch size, labeled metrics +
+//                fetch-latency recorder, QoS weight
+//   shared:      windows, replica groups, tiered store, SampleCache, fetch
+//                engine — one instance each, so aggregate memory footprint
+//                does NOT multiply with N.
+//
+// Attribution happens at the mount, not inside the read path: the
+// tenant's backend reads the store's global counters and latency recorder
+// before and after each load and charges the growth to the tenant.  The
+// fetch engine knows nothing about tenants.
 //
 // A TenantRegistry (one per rank, like the store itself) admits tenants
 // through an admission controller and owns their TenantContexts.  Every
@@ -25,7 +28,6 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/ddstore.hpp"
@@ -49,9 +51,6 @@ struct TenantSpec {
   std::uint64_t local_batch = 32;  ///< per-rank batch size
   std::uint64_t seed = 1;          ///< shuffle seed (per-tenant stream)
   double weight = 1.0;             ///< QoS share (relative, > 0)
-
-  /// Per-tenant override of the store-wide DDStoreConfig::batch_fetch.
-  std::optional<core::BatchFetchMode> batch_fetch;
 };
 
 /// Admission limits enforced by TenantRegistry::admit.
@@ -88,16 +87,13 @@ class TenantContext {
   const TenantSpec& spec() const { return spec_; }
 
   /// The tenant's view of the shared store: ids in [0, mount_samples),
-  /// translated by the mount and loaded with this tenant's scope
-  /// installed.  Hand this to any trainer (Simulated or Real).
+  /// translated by the mount, each load charged to this tenant's labeled
+  /// counters and latency recorder.  Hand this to any trainer (Simulated
+  /// or Real).
   train::DataBackend& backend() { return *backend_; }
 
   /// The tenant's private shuffle over its mount.
   train::GlobalShuffleSampler& sampler() { return sampler_; }
-
-  /// The scope the read path charges while this tenant's loads run (the
-  /// driver wires its gate; tests may read counters through it).
-  core::fetch::TenantScope& scope() { return scope_; }
 
   /// Per-rank fetch latencies attributed to this tenant (reset by the
   /// driver at epoch start).
@@ -110,35 +106,13 @@ class TenantContext {
 
   core::DDStore& store() { return *store_; }
 
-  /// Epoch cursor: epochs this tenant has completed (driver-maintained).
-  std::uint64_t epochs_done = 0;
-
  private:
   int id_;
   TenantSpec spec_;
   core::DDStore* store_;
   train::GlobalShuffleSampler sampler_;
-  core::fetch::TenantScope scope_;
   LatencyRecorder latency_;
   std::unique_ptr<train::DataBackend> backend_;
-};
-
-/// Installs a tenant's scope on the store's read path for the lifetime of
-/// one load call (RAII; restores the previous scope, so nested scopes —
-/// which should not happen — at least unwind correctly).
-class ScopedTenant {
- public:
-  ScopedTenant(core::DDStore& store, core::fetch::TenantScope& scope)
-      : store_(&store), previous_(store.tenant_scope()) {
-    store_->set_tenant_scope(&scope);
-  }
-  ~ScopedTenant() { store_->set_tenant_scope(previous_); }
-  ScopedTenant(const ScopedTenant&) = delete;
-  ScopedTenant& operator=(const ScopedTenant&) = delete;
-
- private:
-  core::DDStore* store_;
-  core::fetch::TenantScope* previous_;
 };
 
 /// Owns the tenants admitted on this rank.  One registry per rank, over

@@ -69,7 +69,8 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
   report.mean_profile = profile_.diff(profile_at_start).allreduce_mean(comm_);
 
   // Metric counters: this rank's delta over the epoch, summed across ranks
-  // elementwise (untimed — bookkeeping must not perturb the time model).
+  // elementwise (untimed: no clock advances, though the exchange still
+  // reorders the fiber schedule — see Comm::allgather_untimed).
   // The reduction is collective, so every rank participates even when its
   // backend keeps no registry (it contributes an empty vector).
   std::vector<std::uint64_t> delta;

@@ -125,31 +125,50 @@ TEST_F(MultiTenantTest, ServedBytesMatchSoloRun) {
 }
 
 TEST_F(MultiTenantTest, LabeledCountersPartitionGlobalTraffic) {
+  // Per-sample batches take one lock epoch per sample, coalesced batches
+  // one vectored transfer per target; attribution at the mount must
+  // partition the global traffic exactly on both read paths.
   const auto specs = four_tenants();
-  simmpi::Runtime rt(kRanks, machine_, 42);
   const auto reader = cff_reader();
-  rt.run([&](simmpi::Comm& c) {
-    auto client = client_for(c);
-    core::DDStore store(c, reader, client, store_config());
-    TenantRegistry reg(store);
-    for (const auto& s : specs) reg.admit(s);
-    MultiTenantDriver driver(c, reg, machine_);
-    (void)driver.run_epoch(0);
-    // All loads went through tenants, so the labeled families must sum to
-    // exactly the global counters (this rank's view).
-    const auto& m = store.metrics();
-    for (const std::string family :
-         {"bytes_fetched", "cache_hits", "cache_misses", "cache_hit_bytes",
-          "local_gets", "remote_gets", "lock_epochs"}) {
-      const auto members = m.family_values(family);
-      std::uint64_t labeled = 0;
-      std::uint64_t global = 0;
-      for (const auto& [label, value] : members) {
-        (label.empty() ? global : labeled) += value;
+  for (const auto mode :
+       {core::BatchFetchMode::PerSample, core::BatchFetchMode::Coalesced}) {
+    SCOPED_TRACE(mode == core::BatchFetchMode::PerSample ? "PerSample"
+                                                         : "Coalesced");
+    simmpi::Runtime rt(kRanks, machine_, 42);
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      core::DDStoreConfig cfg = store_config();
+      cfg.batch_fetch = mode;
+      core::DDStore store(c, reader, client, cfg);
+      TenantRegistry reg(store);
+      for (const auto& s : specs) reg.admit(s);
+      MultiTenantDriver driver(c, reg, machine_);
+      (void)driver.run_epoch(0);
+      // All loads went through tenants, so the labeled families must sum
+      // to exactly the global counters (this rank's view).
+      const auto& m = store.metrics();
+      for (const std::string family :
+           {"bytes_fetched", "cache_hits", "cache_misses", "cache_hit_bytes",
+            "local_gets", "remote_gets", "lock_epochs"}) {
+        const auto members = m.family_values(family);
+        std::uint64_t labeled = 0;
+        std::uint64_t global = 0;
+        for (const auto& [label, value] : members) {
+          (label.empty() ? global : labeled) += value;
+        }
+        EXPECT_EQ(labeled, global) << family;
       }
-      EXPECT_EQ(labeled, global) << family;
-    }
-  });
+      // Every sample latency this rank recorded went to exactly one tenant.
+      std::size_t attributed = 0;
+      for (std::size_t k = 0; k < reg.size(); ++k) {
+        attributed += reg.at(static_cast<int>(k)).latencies().count();
+      }
+      const LatencyRecorder* recorded = m.find_latency("sample_load_s");
+      ASSERT_NE(recorded, nullptr);
+      EXPECT_GT(recorded->count(), 0u);
+      EXPECT_EQ(attributed, recorded->count());
+    });
+  }
 }
 
 TEST_F(MultiTenantTest, RealLossCurvesBitIdenticalSoloVsInterleaved) {

@@ -295,7 +295,7 @@ TEST_F(TenantRegistryTest, MountedBackendTranslatesAndAttributes) {
     // And the latency recorder saw exactly one sample.
     EXPECT_EQ(alice.latencies().count(), 1u);
 
-    // Outside the scope, loads charge only the global counters.
+    // A load that bypasses the mount charges only the global counters.
     (void)store.get(0);
     EXPECT_GT(m.counter_value("bytes_fetched") +
                   m.counter_value("cache_hit_bytes"),

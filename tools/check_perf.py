@@ -36,18 +36,19 @@ def rel_delta(base_value, fresh_value):
     return f"{100.0 * (fresh_value - base_value) / base_value:+.4f}%"
 
 
-def compare_cell(key, base, fresh, rows):
+def compare_cell(label, base, fresh, rows):
+    """Exact diff of one cell (or one tenant entry of a tenant cell)."""
     ok = True
     for field in ("epoch_seconds", "overlap_hidden_s"):
         b, f = base.get(field, []), fresh.get(field, [])
         if len(b) != len(f):
-            rows.append((fmt_key(key), field, f"{len(b)} epochs",
+            rows.append((label, field, f"{len(b)} epochs",
                          f"{len(f)} epochs", "n/a", "n/a"))
             ok = False
             continue
         for i, (bv, fv) in enumerate(zip(b, f)):
             if bv != fv:
-                rows.append((fmt_key(key), f"{field}[{i}]", repr(bv),
+                rows.append((label, f"{field}[{i}]", repr(bv),
                              repr(fv), f"{fv - bv:+.3e}",
                              rel_delta(bv, fv)))
                 ok = False
@@ -56,8 +57,16 @@ def compare_cell(key, base, fresh, rows):
         bv, fv = bc.get(name), fc.get(name)
         if bv != fv:
             delta = "n/a" if None in (bv, fv) else f"{fv - bv:+d}"
-            rows.append((fmt_key(key), f"counters.{name}", repr(bv),
+            rows.append((label, f"counters.{name}", repr(bv),
                          repr(fv), delta, rel_delta(bv, fv)))
+            ok = False
+    bt, ft = base.get("tenants", []), fresh.get("tenants", [])
+    bn, fn = [t.get("name") for t in bt], [t.get("name") for t in ft]
+    if bn != fn:
+        rows.append((label, "tenants", repr(bn), repr(fn), "n/a", "n/a"))
+        return False
+    for b, f in zip(bt, ft):
+        if not compare_cell(f"{label} tenant={b.get('name')}", b, f, rows):
             ok = False
     return ok
 
@@ -86,7 +95,8 @@ def main(argv):
                          "n/a"))
             ok = False
     for key in sorted(set(base_map) & set(fresh_map)):
-        if not compare_cell(key, base_map[key], fresh_map[key], rows):
+        if not compare_cell(fmt_key(key), base_map[key], fresh_map[key],
+                            rows):
             ok = False
 
     if ok:
