@@ -82,7 +82,7 @@ ChaosRun run_scenario(StagedData& data, const model::MachineConfig& machine,
     core::DDStoreConfig cfg;
     cfg.width = kWidth;
     cfg.charge_replica_preload = false;
-    cfg.hedge.enabled = hedge_on;
+    cfg.hedge = hedge_on;
     core::DDStore store(c, data.cff(), client, cfg);
     std::unique_ptr<elastic::ElasticDriver> driver;
     if (scenario.wants_elastic) {

@@ -8,13 +8,14 @@
 // {off, unbounded} on 8 Perlmutter ranks — 12 cells covering the fetch
 // planner, the prefetch overlap model, and the hot-sample cache — plus
 // one width-4 cell per off-by-default feature (hedging, a half-cold tier,
-// owner-greedy scheduling; the hedge cell adds a late straggler so hedges
-// fire), marked with a "feature" field.  Every cell reports the same
-// counter schema, so each feature's counters are exact-gated with real
-// values.  A last "tenants=2 wrr" cell runs two tenants weighted 2:1 through
-// the MultiTenantDriver over one width-4 coalescing, caching store; it
-// reports a "tenants" array, one entry per tenant with its per-epoch
-// epoch_seconds and its labeled counters summed over the run.
+// owner-greedy scheduling, injected faults; the hedge cell adds a late
+// straggler so hedges fire), marked with a "feature" field.  Every cell
+// reports the same counter schema, so each feature's counters are
+// exact-gated with real values.  A last "tenants=2 wrr" cell runs two
+// tenants weighted 2:1 through the MultiTenantDriver over one width-4
+// coalescing, caching store; it reports a "tenants" array, one entry per
+// tenant with its per-epoch epoch_seconds and its labeled counters summed
+// over the run.
 //
 // Output is a JSON array (one object per cell) with epoch times printed at
 // %.17g — enough digits to round-trip an IEEE-754 double exactly — plus
@@ -47,7 +48,7 @@ std::string exact(double v) {
   return buf;
 }
 
-enum class Feature { None, Hedge, HalfCold, OwnerGreedy };
+enum class Feature { None, Hedge, HalfCold, OwnerGreedy, Faults };
 
 struct Cell {
   int width;
@@ -62,6 +63,7 @@ const char* feature_name(Feature f) {
     case Feature::Hedge: return "hedge";
     case Feature::HalfCold: return "hot_fraction=0.5";
     case Feature::OwnerGreedy: return "owner_greedy";
+    case Feature::Faults: return "faults";
   }
   return "?";
 }
@@ -205,6 +207,7 @@ int main(int argc, char** argv) {
   cells.push_back(Cell{4, false, false, Feature::Hedge});
   cells.push_back(Cell{4, true, false, Feature::HalfCold});
   cells.push_back(Cell{4, false, false, Feature::OwnerGreedy});
+  cells.push_back(Cell{4, false, false, Feature::Faults});
 
   std::printf("[\n");
   bool first = true;
@@ -225,7 +228,7 @@ int main(int argc, char** argv) {
       case Feature::Hedge:
         // Rank 1 slows 10x from the second epoch on, once every target's
         // deadline has calibrated, so hedges actually fire.
-        run.ddstore.hedge.enabled = true;
+        run.ddstore.hedge = true;
         run.faults.slowdowns.push_back(faults::SlowdownPhase{1, 10.0, 0.04});
         break;
       case Feature::HalfCold:
@@ -233,6 +236,15 @@ int main(int argc, char** argv) {
         break;
       case Feature::OwnerGreedy:
         run.ddstore.locality_mode = core::LocalityMode::OwnerGreedy;
+        break;
+      case Feature::Faults:
+        // Flaky and corrupting transport plus a dead rank 5; its twin,
+        // rank 1, dies from the second epoch on, so retries, failovers,
+        // checksum rejects, breaker trips and the FS fallback all fire.
+        run.faults.rma_fail_prob = 0.05;
+        run.faults.rma_corrupt_prob = 0.02;
+        run.faults.dead_rank = 5;
+        run.faults.deaths.push_back(faults::DeathPhase{1, 0.04});
         break;
     }
     const auto result = run_training(data, run, BackendKind::DDStore);

@@ -230,7 +230,6 @@ const DDStoreStats& DDStore::stats() const {
   s.staged_hit_bytes = metrics_.counter_value("staged_hit_bytes");
   s.staged_bytes = metrics_.counter_value("staged_bytes");
   s.staged_evictions = metrics_.counter_value("staged_evictions");
-  s.stage_nvme_hits = metrics_.counter_value("stage_nvme_hits");
   s.stage_backpressure_delays =
       metrics_.counter_value("stage_backpressure_delays");
   s.sched_local_planned = metrics_.counter_value("sched_local_planned");

@@ -15,6 +15,7 @@
 #include "common/metrics.hpp"
 #include "core/layout.hpp"
 #include "core/store_config.hpp"
+#include "formats/reader.hpp"
 #include "fs/parallel_fs.hpp"
 #include "simmpi/window.hpp"
 
@@ -63,7 +64,6 @@ struct FetchMetrics {
         staged_hit_bytes(registry.counter("staged_hit_bytes")),
         staged_bytes(registry.counter("staged_bytes")),
         staged_evictions(registry.counter("staged_evictions")),
-        stage_nvme_hits(registry.counter("stage_nvme_hits")),
         stage_backpressure_delays(
             registry.counter("stage_backpressure_delays")),
         stage_wait(registry.latency("stage_wait_s")),
@@ -93,7 +93,7 @@ struct FetchMetrics {
   MetricsRegistry::Counter& cache_evictions;
   MetricsRegistry::Counter& cache_hit_bytes;
   LatencyRecorder& latency;
-  // Hedging and health steering (Resilience stage, hedge.enabled).
+  // Hedging and health steering (Resilience stage, DDStoreConfig::hedge).
   MetricsRegistry::Counter& hedged_fetches;
   MetricsRegistry::Counter& hedge_wins;
   MetricsRegistry::Counter& hedge_mismatches;
@@ -107,7 +107,6 @@ struct FetchMetrics {
   MetricsRegistry::Counter& staged_hit_bytes;
   MetricsRegistry::Counter& staged_bytes;
   MetricsRegistry::Counter& staged_evictions;
-  MetricsRegistry::Counter& stage_nvme_hits;
   MetricsRegistry::Counter& stage_backpressure_delays;
   LatencyRecorder& stage_wait;
   // Locality scheduling (locality_mode != Shuffle): what the batch

@@ -19,14 +19,10 @@ FetchEngine::FetchEngine(simmpi::Comm& comm, simmpi::Comm& group,
     : metrics_(metrics),
       ctx_{&comm, &group, &window, &layout, &config, &reader, &fs_client,
            &metrics_, nominal_sample_bytes},
-      decode_(config.decode),
       cache_(config.cache_capacity_bytes),
       transport_(ctx_),
       resilience_(ctx_, transport_) {
-  if (config.tiered.enabled()) {
-    cold_tier_.emplace(fs_client.fs(), config.tiered.nvme, fs_client.node());
-    staging_.emplace(ctx_, transport_, *cold_tier_);
-  }
+  if (config.tiered.enabled()) staging_.emplace(ctx_, transport_);
 }
 
 void FetchEngine::account_sched(std::span<const std::uint64_t> ids) {

@@ -31,7 +31,7 @@
 #include "core/fetch/staging.hpp"
 #include "core/fetch/transport.hpp"
 #include "core/fetch_plan.hpp"
-#include "store/tier.hpp"
+#include "formats/reader.hpp"
 
 namespace dds::core::fetch {
 
@@ -137,13 +137,11 @@ class FetchEngine {
 
   FetchMetrics metrics_;
   FetchContext ctx_;
-  formats::DecodeCost decode_;
+  formats::DecodeCost decode_ = formats::DecodeCost::in_memory();
   SampleCache cache_;
   RmaTransport transport_;
   ResilienceStage resilience_;
-  /// Tiered mode only: the cold-tier cost model and the Staging stage.
-  std::optional<store::ColdTier> cold_tier_;
-  std::optional<StagingStage> staging_;
+  std::optional<StagingStage> staging_;  ///< tiered mode only
 };
 
 }  // namespace dds::core::fetch

@@ -99,7 +99,8 @@ class CircuitBreaker {
   int skip_remaining_ = 0;
 };
 
-/// Knobs for HealthTracker (populated from HedgePolicy in store_config).
+/// HealthTracker constants.  The Resilience stage uses the defaults;
+/// tests build their own to exercise the tracker in isolation.
 struct HealthParams {
   double alpha = 0.2;             ///< EWMA smoothing, degradations (err > 0)
   /// EWMA smoothing for improvements (err < 0): slow to condemn, quick to

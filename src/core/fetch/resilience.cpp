@@ -13,6 +13,25 @@ namespace dds::core::fetch {
 
 namespace {
 
+// Retry policy.  Retries and failovers only engage on NetworkError or a
+// checksum mismatch, which only occur when fault injection is armed — with
+// faults off none of this adds work to the hot path.
+
+/// Attempts per target per fetch.
+constexpr int kMaxAttempts = 3;
+/// First retry backoff, charged to the origin's virtual clock; it grows
+/// geometrically per attempt, plus a uniform extra fraction that
+/// decorrelates retries.
+constexpr double kBackoffBaseS = 250e-6;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.5;
+/// Consecutive failures on one target that trip its circuit breaker, and
+/// the fetches an open breaker then skips the target for.  Count-based,
+/// not time-based, so breaker behaviour is independent of the queueing
+/// model's schedule-sensitive completion times.
+constexpr int kBreakerThreshold = 3;
+constexpr int kBreakerCooldownFetches = 64;
+
 /// Seed of the stage-private backoff jitter RNG (see the member comment);
 /// streamed by world rank so every rank's retry schedule is independent
 /// and replayable.
@@ -24,39 +43,24 @@ constexpr std::uint64_t kBackoffSeed = 0xddb0ff5eedULL;
 /// recovered one re-earns its score within a few probes.
 constexpr std::uint32_t kQuarantineProbeEvery = 8;
 
-HealthParams health_params(const DDStoreConfig& config) {
-  HealthParams p;
-  p.alpha = config.hedge.health_alpha;
-  p.min_observations = config.hedge.min_observations;
-  p.quarantine_below = config.hedge.quarantine_below;
-  p.deadline_sigma = config.hedge.deadline_sigma;
-  p.deadline_floor_s = config.hedge.deadline_floor_s;
-  return p;
-}
-
 }  // namespace
 
 ResilienceStage::ResilienceStage(const FetchContext& ctx,
                                  RmaTransport& transport)
     : ctx_(&ctx),
       transport_(&transport),
-      health_(static_cast<std::size_t>(ctx.comm->size()),
-              health_params(*ctx.config)),
+      health_(static_cast<std::size_t>(ctx.comm->size()), HealthParams{}),
       backoff_rng_(Rng(kBackoffSeed).stream(
           static_cast<std::uint64_t>(ctx.comm->world_rank()))) {
-  const RetryPolicy& rp = ctx.config->retry;
   targets_.resize(static_cast<std::size_t>(ctx.comm->size()),
-                  TargetState{CircuitBreaker(rp.breaker_threshold,
-                                             rp.breaker_cooldown_fetches),
+                  TargetState{CircuitBreaker(kBreakerThreshold,
+                                             kBreakerCooldownFetches),
                               0});
 }
 
 bool ResilienceStage::payload_intact(const DataRegistry::Entry& entry,
                                      ByteSpan dst) {
-  if (!ctx_->config->retry.verify_checksums || entry.checksum == 0) {
-    return true;
-  }
-  if (checksum64(dst) == entry.checksum) return true;
+  if (entry.checksum == 0 || checksum64(dst) == entry.checksum) return true;
   ++ctx_->metrics->checksum_failures;
   if (tracing::EventTracer* tr = ctx_->tracer()) {
     tracing::EventArgs args;
@@ -103,19 +107,18 @@ void ResilienceStage::refresh_revival(int target) {
 
 const std::vector<int>& ResilienceStage::candidate_order(int owner) {
   const int replicas = ctx_->num_replicas();
-  const int hops = ctx_->config->retry.cross_group_failover ? replicas : 1;
   const auto rotation = [&] {
     order_.clear();
     // Own group first, then sibling groups' twins in a deterministic
-    // rotation starting from this rank's replica index (PR-1 order).
-    for (int hop = 0; hop < hops; ++hop) {
+    // rotation starting from this rank's replica index.
+    for (int hop = 0; hop < replicas; ++hop) {
       order_.push_back(ctx_->layout->holder(
           (ctx_->replica_index() + hop) % replicas, owner));
     }
   };
   rotation();
   for (int t : order_) refresh_revival(t);
-  if (ctx_->config->hedge.enabled && order_.size() > 1) {
+  if (ctx_->config->hedge && order_.size() > 1) {
     // Steering: try quarantined-but-alive targets last, keeping the
     // rotation order within each class (stable, hence deterministic).
     const int primary = order_.front();
@@ -270,12 +273,11 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
 void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
                             MutableByteSpan dst, bool locked,
                             double overhead_scale) {
-  const RetryPolicy& rp = ctx_->config->retry;
   FetchMetrics& m = *ctx_->metrics;
   const int owner = static_cast<int>(entry.owner);
   const int primary = ctx_->primary_target(owner);
   const std::vector<int>& order = candidate_order(owner);
-  if (ctx_->config->hedge.enabled && order.front() != primary) {
+  if (ctx_->config->hedge && order.front() != primary) {
     // Steering demoted a quarantined primary: this fetch routes around a
     // degraded-but-alive rank before any breaker has tripped.
     ++m.quarantine_steers;
@@ -297,14 +299,13 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
     // Inside a batch lock epoch the primary is already locked by the
     // caller; failover targets always take their own shared lock.
     const bool own_lock = !(locked && target == primary);
-    const int backup =
-        ctx_->config->hedge.enabled ? pick_backup(order, target) : -1;
+    const int backup = ctx_->config->hedge ? pick_backup(order, target) : -1;
     bool abandon = false;
-    for (int attempt = 1; attempt <= rp.max_attempts && !abandon; ++attempt) {
+    for (int attempt = 1; attempt <= kMaxAttempts && !abandon; ++attempt) {
       if (attempt > 1) {
-        double delay = rp.backoff_base_s;
-        for (int i = 2; i < attempt; ++i) delay *= rp.backoff_multiplier;
-        delay *= 1.0 + rp.backoff_jitter * backoff_rng_.uniform();
+        double delay = kBackoffBaseS;
+        for (int i = 2; i < attempt; ++i) delay *= kBackoffMultiplier;
+        delay *= 1.0 + kBackoffJitter * backoff_rng_.uniform();
         tracing::Span backoff(ctx_->tracer(), ctx_->clock(),
                               tracing::Category::Resilience, "backoff");
         backoff.args().target = ctx_->comm->world_rank_of(target);
@@ -338,27 +339,20 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
     }
   }
 
-  if (rp.fs_fallback) {
-    // Degraded mode: every in-memory route is exhausted; re-read the
-    // sample from the parallel filesystem through the format plugin.
-    tracing::Span span(ctx_->tracer(), ctx_->clock(),
-                       tracing::Category::Resilience, "fs_fallback");
-    span.args().sample_id = static_cast<std::int64_t>(id);
-    span.args().bytes = static_cast<std::int64_t>(entry.length);
-    const ByteBuffer bytes = ctx_->reader->read_bytes(id, *ctx_->fs_client);
-    if (bytes.size() != entry.length ||
-        (rp.verify_checksums && entry.checksum != 0 &&
-         checksum64(ByteSpan(bytes)) != entry.checksum)) {
-      throw DataError("FS fallback read of sample " + std::to_string(id) +
-                      " disagrees with the registry");
-    }
-    std::memcpy(dst.data(), bytes.data(), bytes.size());
-    ++m.degraded_reads;
-    return;
+  // Degraded mode: every in-memory route is exhausted; re-read the sample
+  // from the parallel filesystem through the format plugin.
+  tracing::Span span(ctx_->tracer(), ctx_->clock(),
+                     tracing::Category::Resilience, "fs_fallback");
+  span.args().sample_id = static_cast<std::int64_t>(id);
+  span.args().bytes = static_cast<std::int64_t>(entry.length);
+  const ByteBuffer bytes = ctx_->reader->read_bytes(id, *ctx_->fs_client);
+  if (bytes.size() != entry.length ||
+      (entry.checksum != 0 && checksum64(ByteSpan(bytes)) != entry.checksum)) {
+    throw DataError("FS fallback read of sample " + std::to_string(id) +
+                    " disagrees with the registry");
   }
-  throw IoError("sample " + std::to_string(id) +
-                " unreachable: every replica target failed and FS fallback "
-                "is disabled");
+  std::memcpy(dst.data(), bytes.data(), bytes.size());
+  ++m.degraded_reads;
 }
 
 }  // namespace dds::core::fetch

@@ -8,11 +8,12 @@
 // hedging disabled, none of this machinery fires — a fetch is one
 // transport get.
 //
-// Crash-robustness (PR 1): per-target retry with jittered backoff, a
-// three-state circuit breaker (see health.hpp), failover across replica
-// groups, and finally the FS fallback.
+// Crash-robustness: per-target retry with jittered backoff, a three-state
+// circuit breaker (see health.hpp), failover across replica groups, and
+// finally the FS fallback.  All four are always on; their constants live
+// in resilience.cpp.
 //
-// Latency-robustness (this PR, gated on DDStoreConfig::hedge.enabled):
+// Latency-robustness (gated on DDStoreConfig::hedge):
 //  * candidate steering — quarantined-but-alive targets (health score
 //    below the threshold) are tried last instead of first;
 //  * hedged gets — when a fetch's modeled completion exceeds the target's
@@ -50,14 +51,15 @@ class ResilienceStage {
   /// (hedging and steering when armed), and finally fall back to the
   /// filesystem.  `locked` means the caller already holds a batch-wide
   /// lock epoch on the sample's primary target; `overhead_scale` discounts
-  /// the per-get software overhead inside such an epoch.  Throws IoError
-  /// if every route is exhausted.
+  /// the per-get software overhead inside such an epoch.  Throws DataError
+  /// if the filesystem copy disagrees with the registry; an injected FS
+  /// read error propagates as IoError.
   void fetch(std::uint64_t id, const DataRegistry::Entry& entry,
              MutableByteSpan dst, bool locked, double overhead_scale);
 
   /// Verify stage helper: true when `dst` matches `entry`'s recorded
-  /// checksum (or verification is off / no checksum recorded).  Counts a
-  /// checksum failure when it lies.
+  /// checksum (or no checksum is recorded).  Counts a checksum failure
+  /// when it lies.
   bool payload_intact(const DataRegistry::Entry& entry, ByteSpan dst);
 
   /// True while `target`'s circuit breaker is open.  A revival of the
@@ -140,7 +142,7 @@ class ResilienceStage {
   /// Backoff jitter draws from a stage-private stream seeded by world
   /// rank, never from the rank's shared Comm RNG: other consumers of that
   /// RNG (brokers, prefetch jitter) must not shift resilient-path virtual
-  /// times between runs or thread interleavings.
+  /// times between configurations that draw from it differently.
   Rng backoff_rng_;
   std::vector<int> order_;    ///< candidate_order scratch (reused per fetch)
   ByteBuffer hedge_scratch_;  ///< backup leg's landing buffer

@@ -21,11 +21,9 @@ std::uint64_t auto_staged_capacity(const FetchContext& ctx) {
 
 }  // namespace
 
-StagingStage::StagingStage(const FetchContext& ctx, RmaTransport& transport,
-                           store::ColdTier& cold)
+StagingStage::StagingStage(const FetchContext& ctx, RmaTransport& transport)
     : ctx_(&ctx),
       transport_(&transport),
-      cold_(&cold),
       staged_(ctx.config->tiered.staged_set_bytes != 0
                   ? ctx.config->tiered.staged_set_bytes
                   : auto_staged_capacity(ctx)) {}
@@ -64,10 +62,8 @@ void StagingStage::enqueue(std::uint64_t id,
       ++m.stage_backpressure_delays;
     }
   }
-  const store::StageCompletion sc =
-      cold_->stage_read(id, ctx_->nominal_sample_bytes, ready);
-  f.done = sc.done;
-  if (sc.nvme_hit) ++m.stage_nvme_hits;
+  f.done = ctx_->fs_client->fs().stage_read_at(ready,
+                                               ctx_->nominal_sample_bytes);
   ++m.cold_misses;
   if (tracing::EventTracer* tr = ctx_->tracer()) {
     tracing::EventArgs args;
@@ -96,15 +92,12 @@ ByteBuffer StagingStage::drain(std::uint64_t id) {
 
   ByteBuffer bytes = std::move(it->bytes);
   queue_.erase(it);
-  if (ctx_->config->tiered.admission == TierAdmission::Promote) {
-    DDS_CHECK_MSG(promoting_, "promotion outside a lock epoch");
-    m.staged_evictions += staged_.insert(id, ByteSpan(bytes));
-  }
+  DDS_CHECK_MSG(promoting_, "promotion outside a lock epoch");
+  m.staged_evictions += staged_.insert(id, ByteSpan(bytes));
   return bytes;
 }
 
 void StagingStage::begin_promotion() {
-  if (ctx_->config->tiered.admission != TierAdmission::Promote) return;
   DDS_CHECK(!promoting_);
   // Publication discipline: promoted samples become addressable at a
   // lock-epoch boundary on this rank's own region, never mid-epoch — the
@@ -114,7 +107,7 @@ void StagingStage::begin_promotion() {
 }
 
 void StagingStage::end_promotion() {
-  if (!promoting_) return;
+  DDS_CHECK(promoting_);
   transport_->unlock(ctx_->comm->rank());
   promoting_ = false;
 }

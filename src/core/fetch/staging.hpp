@@ -3,12 +3,13 @@
 // Sits between the Cache and Transport stages (DESIGN.md stage diagram):
 // samples outside the hot shard never reach the RMA transport.  Instead a
 // cold miss is enqueued into a deep asynchronous staging queue whose
-// completion is modeled at enqueue time from the cold tier's deferred cost
-// model (store/tier.hpp) — the clock does NOT advance while a read sits in
-// the queue, exactly like RmaTransport::get_deferred.  The consumer blocks
-// (advance_to) only when it drains the entry for bytes it needs, so with a
-// deep enough queue the storage latency hides behind hot RMA transfers and
-// — through the prefetching loader's double buffer — training compute.
+// completion is modeled at enqueue time by the parallel filesystem's
+// deferred object read (ParallelFileSystem::stage_read_at) — the clock
+// does NOT advance while a read sits in the queue, exactly like
+// RmaTransport::get_deferred.  The consumer blocks (advance_to) only when
+// it drains the entry for bytes it needs, so with a deep enough queue the
+// storage latency hides behind hot RMA traffic and — through the
+// prefetching loader's double buffer — training compute.
 //
 // Queue semantics: staging_depth bounds the in-flight reads per rank.  The
 // k-th enqueued read issues at max(enqueue time, completion of the
@@ -19,8 +20,7 @@
 // bounded LRU that is part of the hot shard's memory budget — under one
 // shared lock epoch on the rank's own window region per drained batch (the
 // store's existing publication discipline: promoted bytes become visible
-// at a lock-epoch boundary, not mid-epoch).  TierAdmission::Transient
-// skips promotion (pure streaming).
+// at a lock-epoch boundary, not mid-epoch).
 //
 // Byte identity: the data plane serves cold bytes from the owner's
 // exposed region, the same memory every other path reads — tiering only
@@ -34,7 +34,6 @@
 
 #include "core/fetch/cache.hpp"
 #include "core/fetch/context.hpp"
-#include "store/tier.hpp"
 
 namespace dds::core::fetch {
 
@@ -42,10 +41,9 @@ class RmaTransport;
 
 class StagingStage {
  public:
-  /// `transport` issues the promotion lock epochs; `cold` models the
-  /// storage reads.  Both must outlive the stage.
-  StagingStage(const FetchContext& ctx, RmaTransport& transport,
-               store::ColdTier& cold);
+  /// `transport` issues the promotion lock epochs and must outlive the
+  /// stage; the storage reads are modeled on the context's filesystem.
+  StagingStage(const FetchContext& ctx, RmaTransport& transport);
 
   /// True when `id` lives outside its owner's hot prefix under the current
   /// layout (re-read through the context on every call, so an elastic
@@ -73,13 +71,13 @@ class StagingStage {
 
   /// Drains the in-flight entry for `id`: advances the clock to its
   /// modeled completion (recording how long the consumer actually
-  /// blocked), promotes per the admission policy, and returns the bytes.
-  /// `id` must have been enqueued.
+  /// blocked), promotes it into the staged set, and returns the bytes.
+  /// `id` must have been enqueued, and the call must sit between
+  /// begin_promotion() and end_promotion().
   ByteBuffer drain(std::uint64_t id);
 
   /// Opens/closes the promotion lock epoch around a batch of drains (one
-  /// shared lock on this rank's own window region).  No-op under
-  /// TierAdmission::Transient — nothing is published.
+  /// shared lock on this rank's own window region).
   void begin_promotion();
   void end_promotion();
 
@@ -100,7 +98,6 @@ class StagingStage {
 
   const FetchContext* ctx_;
   RmaTransport* transport_;
-  store::ColdTier* cold_;
   /// In-flight reads in enqueue order.  Issue times are serialized against
   /// recent_dones_ so at most staging_depth reads occupy the device at any
   /// modeled instant, however many entries the caller queues.

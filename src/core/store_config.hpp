@@ -8,11 +8,6 @@
 
 #include "common/stats.hpp"
 #include "core/registry.hpp"
-#include "formats/reader.hpp"
-
-namespace dds::fs {
-class NvmeTier;
-}
 
 namespace dds::core {
 
@@ -43,56 +38,6 @@ enum class BatchFetchMode {
   Coalesced,
 };
 
-/// Resilient-fetch policy: how hard DDStore tries before degrading.
-/// Retries and failovers only engage on NetworkError / checksum mismatch,
-/// which only occur when fault injection is armed — with faults off this
-/// policy adds zero work to the hot path.
-struct RetryPolicy {
-  /// Attempts per target per fetch (1 = no retry).
-  int max_attempts = 3;
-  /// First retry backoff, charged to the origin's virtual clock.
-  double backoff_base_s = 250e-6;
-  /// Geometric growth of the backoff per attempt.
-  double backoff_multiplier = 2.0;
-  /// Uniform extra fraction added to each backoff (decorrelates retries).
-  double backoff_jitter = 0.5;
-  /// Consecutive failures on one target that trip its circuit breaker.
-  int breaker_threshold = 3;
-  /// While open, the breaker skips the target for this many fetches.
-  /// Count-based (not time-based) so breaker behaviour is independent of
-  /// the queueing model's scheduling-sensitive completion times.
-  int breaker_cooldown_fetches = 64;
-  /// Fail over to the sample's twin owners in sibling replica groups.
-  bool cross_group_failover = true;
-  /// Last resort: re-read the sample from the filesystem (degraded mode).
-  bool fs_fallback = true;
-  /// Verify the registry checksum on every fetched payload.
-  bool verify_checksums = true;
-};
-
-/// Gray-failure (latency-robustness) policy: hedged backup fetches plus
-/// health-scored candidate steering.  A fetch whose modeled completion
-/// exceeds the target's adaptive deadline (per-target EWMA + sigma *
-/// EW-deviation, a p99-ish bound) fires one backup get at the sample's
-/// twin in a sibling replica group; the first response wins, and when both
-/// land the payloads are verified byte-identical.  Separately, targets
-/// whose continuous health score drops below the quarantine threshold are
-/// steered around (tried last) before any breaker declares them dead.
-/// Off by default; the hedge counters then stay zero.
-struct HedgePolicy {
-  bool enabled = false;
-  /// Deadline = EWMA + deadline_sigma * EW-deviation, >= deadline_floor_s.
-  double deadline_sigma = 4.0;
-  double deadline_floor_s = 50e-6;
-  /// Observations of a target before its deadline/score are trusted
-  /// (no hedging, no quarantine until calibrated).
-  int min_observations = 8;
-  /// EWMA smoothing factor for per-target service times.
-  double health_alpha = 0.2;
-  /// Health score below which a target is quarantined (steered around).
-  double quarantine_below = 0.3;
-};
-
 /// How the per-step sample->rank assignment inside each global batch is
 /// chosen (src/sched/).  The per-batch *multiset* of samples is identical
 /// in every mode — only which rank executes which slice changes — so
@@ -109,43 +54,26 @@ enum class LocalityMode {
   OwnerGreedy,
 };
 
-/// What happens to a sample staged in from the cold tier once its bytes
-/// have been consumed.
-enum class TierAdmission {
-  /// Staged bytes are promoted into the rank's staged set (a bounded LRU
-  /// inside the hot shard), so re-touches are served at memory speed.
-  Promote,
-  /// Staged bytes are handed to the caller and dropped — every cold touch
-  /// re-stages (GIDS's pure streaming mode; useful when the shuffle never
-  /// revisits a sample within its residency window).
-  Transient,
-};
-
 /// Two-tier (out-of-core) store policy.  With hot_fraction < 1 each owner
 /// pins only the storage-order prefix of its chunk in the RMA window's
 /// *hot shard*; the suffix lives in the cold tier (the simulated parallel
-/// FS through the container reader, optionally fronted by node-local
-/// NVMe).  Cold misses are enqueued into a deep asynchronous staging queue
+/// FS).  Cold misses are enqueued into a deep asynchronous staging queue
 /// whose completions are modeled at issue time without advancing any clock
 /// (the get_deferred pattern), so staging overlaps hot RMA traffic and —
 /// through the prefetching loader's double buffer — training compute.
-/// Off by default (hot_fraction = 1.0): no staging branch is taken and the
-/// tier counters stay zero.
+/// Staged bytes are promoted into the rank's staged set, so re-touches are
+/// served at memory speed.  Off by default (hot_fraction = 1.0): no staging
+/// branch is taken and the tier counters stay zero.
 struct TieredConfig {
   /// Fraction of each owner's chunk bytes pinned hot; 1.0 disables tiering.
   double hot_fraction = 1.0;
   /// Maximum in-flight cold-tier reads per rank: deeper queues hide more
   /// storage latency, shallower ones model constrained submission rings.
   int staging_depth = 8;
-  TierAdmission admission = TierAdmission::Promote;
   /// Capacity of the per-rank staged set in actual payload bytes;
   /// 0 sizes it automatically to the rank's cold-prefix complement
   /// (hot shards plus staged set never exceed one full chunk).
   std::uint64_t staged_set_bytes = 0;
-  /// Optional node-local NVMe middle tier between the staging queue and
-  /// the parallel FS (non-owning; must outlive the store).  Staged reads
-  /// hit the device when resident and admit on miss, all in deferred time.
-  fs::NvmeTier* nvme = nullptr;
 
   bool enabled() const { return hot_fraction < 1.0; }
 };
@@ -168,19 +96,23 @@ struct DDStoreConfig {
   /// TwoSided only: mean delay until the target's broker thread services a
   /// queued request (it competes with the target's own training loop).
   double broker_poll_mean_s = 300e-6;
-  /// CPU cost of decoding a fetched sample (in-memory buffer).
-  formats::DecodeCost decode = formats::DecodeCost::in_memory();
-  /// Resilience policy for the fetch path (see RetryPolicy).
-  RetryPolicy retry;
   /// Per-rank hot-sample LRU cache capacity in *actual* payload bytes
   /// (0 disables the Cache stage entirely).  Hits are served before any
   /// lock epoch at a modeled memcpy cost (CpuParams::cache_hit_service_s +
   /// nominal bytes / memcpy bandwidth) and never touch the transport,
   /// retry budget, or circuit breakers.
   std::uint64_t cache_capacity_bytes = 0;
-  /// Gray-failure robustness: hedged fetches + health steering (see
-  /// HedgePolicy).  Off by default.
-  HedgePolicy hedge;
+  /// Gray-failure robustness: hedged backup fetches plus health-scored
+  /// candidate steering.  A fetch whose modeled completion exceeds the
+  /// target's adaptive deadline (per-target EWMA + sigma * EW-deviation, a
+  /// p99-ish bound) fires one backup get at the sample's twin in a sibling
+  /// replica group; the first response wins, and when both land the
+  /// payloads are verified byte-identical.  Separately, targets whose
+  /// health score drops below the quarantine threshold are steered around
+  /// (tried last) before any breaker declares them dead.  The deadline and
+  /// score constants are HealthParams' defaults (core/fetch/health.hpp).
+  /// Off by default; the hedge counters then stay zero.
+  bool hedge = false;
   /// Out-of-core tiering: hot-shard windows over a cold tier with async
   /// staging (see TieredConfig).  Off by default.
   TieredConfig tiered;
@@ -237,7 +169,7 @@ struct DDStoreStats {
   std::uint64_t cache_evictions = 0;  ///< entries displaced by inserts
   std::uint64_t cache_hit_bytes = 0;  ///< actual payload bytes served hot
 
-  // Hedging counters (all zero unless DDStoreConfig::hedge.enabled).
+  // Hedging counters (all zero unless DDStoreConfig::hedge).
   std::uint64_t hedged_fetches = 0;   ///< backup gets fired past a deadline
   std::uint64_t hedge_wins = 0;       ///< fetches the backup response won
   std::uint64_t hedge_mismatches = 0; ///< twin payloads that disagreed
@@ -255,7 +187,6 @@ struct DDStoreStats {
   std::uint64_t staged_hit_bytes = 0; ///< actual bytes those hits served
   std::uint64_t staged_bytes = 0;     ///< actual bytes read from the cold tier
   std::uint64_t staged_evictions = 0; ///< staged-set entries displaced
-  std::uint64_t stage_nvme_hits = 0;  ///< staged reads served by the NVMe tier
   /// Staged reads whose issue slipped because all staging_depth slots were
   /// in flight (queue backpressure engaged).
   std::uint64_t stage_backpressure_delays = 0;

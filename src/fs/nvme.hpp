@@ -11,7 +11,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/units.hpp"
@@ -89,34 +88,6 @@ class NvmeTier {
         clock.now() + params_.write_latency_s,
         static_cast<double>(nominal_bytes) / params_.write_bandwidth_Bps);
     clock.advance_to(done);
-  }
-
-  /// Deferred variant of try_read for asynchronous staging queues: decides
-  /// residency and, on a hit, returns the modeled completion of a read
-  /// issued at `start` WITHOUT advancing any clock (BusyResource::acquire
-  /// is clock-free).  On a miss returns no value; residency is recorded so
-  /// the caller stages from the backing store and charges admit_at().
-  std::optional<double> try_read_at(int node, std::uint64_t sample_id,
-                                    std::uint64_t nominal_bytes,
-                                    double start) {
-    Node& n = *nodes_.at(static_cast<std::size_t>(node));
-    if (n.resident.access(sample_id, 0, nominal_bytes)) {
-      return n.read_lane.acquire(
-          start + params_.read_latency_s,
-          static_cast<double>(nominal_bytes) / params_.read_bandwidth_Bps);
-    }
-    return std::nullopt;
-  }
-
-  /// Deferred variant of admit: models the staging write as issued at
-  /// `start` and returns its completion without touching any clock.
-  double admit_at(int node, std::uint64_t sample_id,
-                  std::uint64_t nominal_bytes, double start) {
-    (void)sample_id;
-    Node& n = *nodes_.at(static_cast<std::size_t>(node));
-    return n.write_lane.acquire(
-        start + params_.write_latency_s,
-        static_cast<double>(nominal_bytes) / params_.write_bandwidth_Bps);
   }
 
   std::uint64_t hits(int node) const {

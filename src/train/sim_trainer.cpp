@@ -21,8 +21,7 @@ SimulatedTrainer::SimulatedTrainer(simmpi::Comm& comm, DataBackend& backend,
   if (config.loader_mode == LoaderMode::Prefetching) {
     DDS_CHECK(config.prefetch_depth >= 0);
     ploader_.emplace(backend, sampler, comm_.clock(),
-                     PrefetchConfig{config.prefetch_depth,
-                                    config.non_overlap_fraction});
+                     PrefetchConfig{.depth = config.prefetch_depth});
   } else {
     DDS_CHECK(config.prefetch_depth >= 1);
   }

@@ -42,9 +42,6 @@ struct SimTrainerConfig {
   /// Pipelined: batches the CPU may run ahead of the GPU (>= 1).
   /// Prefetching: batches the loader stages ahead (0 = serial baseline).
   int prefetch_depth = 2;
-  /// Prefetching only: fraction of an overlapped fetch/compute window that
-  /// cannot hide (see PrefetchConfig::non_overlap_fraction).
-  double non_overlap_fraction = 0.05;
 };
 
 struct EpochReport {

@@ -184,26 +184,6 @@ TEST_F(DDStoreFaultsTest, SingleReplicaDeadRankDegradesToFsFallback) {
   });
 }
 
-TEST_F(DDStoreFaultsTest, FsFallbackDisabledThrowsIoError) {
-  simmpi::Runtime rt(4, machine_);
-  faults::FaultConfig fc;
-  fc.dead_rank = 1;
-  rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, 4));
-  const auto reader = cff_reader();
-  EXPECT_THROW(
-      rt.run([&](simmpi::Comm& c) {
-        auto client = client_for(c);
-        DDStoreConfig cfg;
-        cfg.retry.fs_fallback = false;
-        DDStore store(c, reader, client, cfg);
-        for (std::uint64_t id = 0; id < kSamples; ++id) {
-          (void)store.get(id);
-        }
-        store.fence();
-      }),
-      IoError);
-}
-
 TEST_F(DDStoreFaultsTest, SameSeedGivesIdenticalFaultCounts) {
   faults::FaultConfig fc;
   fc.seed = 1234;

@@ -77,7 +77,7 @@ class DDStoreHedgeTest : public ::testing::Test {
       auto client = client_for(c);
       DDStoreConfig cfg;
       cfg.width = kWidth;
-      cfg.hedge.enabled = hedge_on;
+      cfg.hedge = hedge_on;
       DDStore store(c, reader, client, cfg);
       for (int pass = 0; pass < passes; ++pass) {
         expect_all_samples_intact(store);
@@ -201,7 +201,7 @@ TEST_F(DDStoreHedgeTest, ReviveRestoresBreakerAndHealthEligibility) {
     auto client = client_for(c);
     DDStoreConfig cfg;
     cfg.width = kWidth;
-    cfg.hedge.enabled = true;
+    cfg.hedge = true;
     DDStore store(c, reader, client, cfg);
 
     expect_all_samples_intact(store);  // served via failover to the twin

@@ -274,7 +274,7 @@ TEST_F(FetchMetricsLayout, SameCountersInEveryConfiguration) {
   DDStoreConfig armed;
   armed.width = 4;
   armed.cache_capacity_bytes = 64ull << 20;
-  armed.hedge.enabled = true;
+  armed.hedge = true;
   armed.tiered.hot_fraction = 0.5;
   armed.locality_mode = LocalityMode::OwnerGreedy;
   std::vector<std::string> names[2];

@@ -1,7 +1,7 @@
 // Tiered-store tests: the hot/cold Layout partition, byte identity of
 // delivered samples across hot fractions (tiering changes *when* bytes
 // arrive, never *which* bytes), staging-queue accounting and backpressure,
-// admission policies, the reset_stats contract (staged-set warmth is
+// staged-set promotion, the reset_stats contract (staged-set warmth is
 // state, not a statistic), and TieredConfig validation.
 #include <gtest/gtest.h>
 
@@ -192,25 +192,6 @@ TEST_F(TieredStoreTest, ColdReadsAreCountedAndPromoted) {
     EXPECT_EQ(store.stats().cold_misses, cold);  // unchanged
     EXPECT_GT(store.stats().staged_hits, 0u);
     EXPECT_EQ(store.staging()->inflight(), 0u);
-  });
-}
-
-TEST_F(TieredStoreTest, TransientAdmissionNeverPromotes) {
-  simmpi::Runtime rt(4, machine_);
-  const auto reader = cff_reader();
-  rt.run([&](simmpi::Comm& c) {
-    auto client = client_for(c);
-    DDStoreConfig cfg = tiered_config(0.25);
-    cfg.tiered.admission = TierAdmission::Transient;
-    DDStore store(c, reader, client, cfg);
-    for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
-    const std::uint64_t first_pass = store.stats().cold_misses;
-    ASSERT_GT(first_pass, 0u);
-    EXPECT_EQ(store.staging()->staged_set().entries(), 0u);
-    // Pure streaming: the second pass pays the cold tier again.
-    for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
-    EXPECT_EQ(store.stats().cold_misses, 2 * first_pass);
-    EXPECT_EQ(store.stats().staged_hits, 0u);
   });
 }
 

@@ -111,27 +111,5 @@ TEST(NvmeParams, ConstructionRejectsNonPositiveRates) {
   EXPECT_NO_THROW(small_params().validate());
 }
 
-TEST(NvmeTier, DeferredReadsMatchClockDrivenPricing) {
-  // One tier driven by a clock, a twin driven by the deferred *_at calls
-  // from the same start times: identical residency decisions, identical
-  // modeled completions — and the deferred path never touches a clock.
-  NvmeTier clocked(small_params(), 1);
-  NvmeTier deferred(small_params(), 1);
-  model::VirtualClock clock;
-
-  EXPECT_FALSE(clocked.try_read(0, 7, 1000, clock));
-  EXPECT_FALSE(deferred.try_read_at(0, 7, 1000, 0.0).has_value());
-  clocked.admit(0, 7, 1000, clock);
-  const double staged = deferred.admit_at(0, 7, 1000, 0.0);
-  EXPECT_GT(staged, 0.0);
-  EXPECT_DOUBLE_EQ(staged, clock.now());
-
-  const double start = clock.now();
-  ASSERT_TRUE(clocked.try_read(0, 7, 1000, clock));
-  const auto done = deferred.try_read_at(0, 7, 1000, start);
-  ASSERT_TRUE(done.has_value());
-  EXPECT_DOUBLE_EQ(*done, clock.now());
-}
-
 }  // namespace
 }  // namespace dds::fs
