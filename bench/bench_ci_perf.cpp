@@ -9,7 +9,12 @@
 // planner, the prefetch overlap model, and the hot-sample cache — plus
 // one width-4 cell per off-by-default feature (hedging, a half-cold tier,
 // owner-greedy scheduling, injected faults; the hedge cell adds a late
-// straggler so hedges fire), marked with a "feature" field.  Every cell
+// straggler so hedges fire), marked with a "feature" field.  Two more
+// width-4 cells gate the fault paths of the other read shapes: the faults
+// cell's settings plus 1% link loss and 20 us jitter on the coalesced
+// pipeline ("faults+links": failed and corrupt vectored gets), and the
+// hedge cell's straggler over flaky, corrupting, lossy links
+// ("hedge+faults": hedged legs that fail).  Every cell
 // reports the same counter schema, so each feature's counters are
 // exact-gated with real values.  A last "tenants=2 wrr" cell runs two
 // tenants weighted 2:1 through the MultiTenantDriver over one width-4
@@ -48,7 +53,18 @@ std::string exact(double v) {
   return buf;
 }
 
-enum class Feature { None, Hedge, HalfCold, OwnerGreedy, Faults };
+enum class Feature {
+  None,
+  Hedge,
+  HalfCold,
+  OwnerGreedy,
+  Faults,
+  LinkFaults,
+  HedgeFaults
+};
+
+/// 1% loss and 20 us mean jitter on every link, for the whole run.
+const faults::LinkPhase kLossyLinks{-1, -1, 0.01, 20e-6};
 
 struct Cell {
   int width;
@@ -64,6 +80,8 @@ const char* feature_name(Feature f) {
     case Feature::HalfCold: return "hot_fraction=0.5";
     case Feature::OwnerGreedy: return "owner_greedy";
     case Feature::Faults: return "faults";
+    case Feature::LinkFaults: return "faults+links";
+    case Feature::HedgeFaults: return "hedge+faults";
   }
   return "?";
 }
@@ -208,6 +226,8 @@ int main(int argc, char** argv) {
   cells.push_back(Cell{4, true, false, Feature::HalfCold});
   cells.push_back(Cell{4, false, false, Feature::OwnerGreedy});
   cells.push_back(Cell{4, false, false, Feature::Faults});
+  cells.push_back(Cell{4, true, false, Feature::LinkFaults});
+  cells.push_back(Cell{4, false, false, Feature::HedgeFaults});
 
   std::printf("[\n");
   bool first = true;
@@ -238,13 +258,28 @@ int main(int argc, char** argv) {
         run.ddstore.locality_mode = core::LocalityMode::OwnerGreedy;
         break;
       case Feature::Faults:
+      case Feature::LinkFaults:
         // Flaky and corrupting transport plus a dead rank 5; its twin,
         // rank 1, dies from the second epoch on, so retries, failovers,
         // checksum rejects, breaker trips and the FS fallback all fire.
+        // The faults+links cell adds lossy, jittery links under the
+        // coalesced pipeline's vectored transfers.
         run.faults.rma_fail_prob = 0.05;
         run.faults.rma_corrupt_prob = 0.02;
         run.faults.dead_rank = 5;
         run.faults.deaths.push_back(faults::DeathPhase{1, 0.04});
+        if (cell.feature == Feature::LinkFaults) {
+          run.faults.links.push_back(kLossyLinks);
+        }
+        break;
+      case Feature::HedgeFaults:
+        // The hedge cell's straggler over a flaky, corrupting, lossy
+        // transport: hedged legs fail, win, and deliver bad bytes.
+        run.ddstore.hedge = true;
+        run.faults.slowdowns.push_back(faults::SlowdownPhase{1, 10.0, 0.04});
+        run.faults.rma_fail_prob = 0.05;
+        run.faults.rma_corrupt_prob = 0.02;
+        run.faults.links.push_back(kLossyLinks);
         break;
     }
     const auto result = run_training(data, run, BackendKind::DDStore);

@@ -37,14 +37,6 @@ class IoError : public Error {
   explicit IoError(std::string what) : Error(std::move(what)) {}
 };
 
-/// Thrown on communication-level failures: a transient RMA transport fault
-/// or a get targeting a dead rank.  DDStore's resilient fetch path catches
-/// this and retries / fails over instead of crashing the job.
-class NetworkError : public Error {
- public:
-  explicit NetworkError(std::string what) : Error(std::move(what)) {}
-};
-
 /// Thrown when an internal invariant is violated (a bug in this library).
 class InternalError : public Error {
  public:

@@ -1,7 +1,6 @@
 #include "core/fetch/engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <unordered_map>
 
@@ -45,7 +44,16 @@ void FetchEngine::account_sched(std::span<const std::uint64_t> ids) {
   }
 }
 
-void FetchEngine::charge_cache_hit() {
+void FetchEngine::charge_hit(MetricsRegistry::Counter& hits,
+                             MetricsRegistry::Counter& hit_bytes,
+                             const char* name, std::uint64_t id,
+                             std::uint64_t length) {
+  ++hits;
+  hit_bytes += length;
+  tracing::Span span(ctx_.tracer(), ctx_.clock(), tracing::Category::Cache,
+                     name);
+  span.args().sample_id = static_cast<std::int64_t>(id);
+  span.args().bytes = static_cast<std::int64_t>(length);
   // A hit is modeled as constant lookup service plus one memcpy of the
   // nominal payload at CPU memory bandwidth — strictly cheaper than even a
   // local RMA get, which pays rma_local_overhead_s per transfer.
@@ -53,6 +61,17 @@ void FetchEngine::charge_cache_hit() {
   ctx_.clock().advance(cpu.cache_hit_service_s +
                        static_cast<double>(ctx_.nominal_sample_bytes) /
                            cpu.memcpy_bandwidth_Bps);
+}
+
+void FetchEngine::serve_hit(const ByteBuffer* bytes,
+                            MetricsRegistry::Counter& hits,
+                            MetricsRegistry::Counter& hit_bytes,
+                            const char* name, const PlannedSample& sample,
+                            std::vector<graph::GraphSample>& out) {
+  DDS_CHECK(bytes != nullptr);
+  const double t0 = ctx_.clock().now();
+  charge_hit(hits, hit_bytes, name, sample.id, sample.length);
+  decode_occurrences(sample, ByteSpan(*bytes), ctx_.clock().now() - t0, out);
 }
 
 void FetchEngine::admit(std::uint64_t id, ByteSpan bytes) {
@@ -82,13 +101,8 @@ ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
     // Cache stage first: a hit never takes a lock epoch, consumes no retry
     // budget, and touches no target's breaker (see DESIGN.md invariant).
     if (const ByteBuffer* hit = cache_.lookup(id)) {
-      ++metrics_.cache_hits;
-      metrics_.cache_hit_bytes += entry.length;
-      tracing::Span span(ctx_.tracer(), ctx_.clock(), tracing::Category::Cache,
-                         "cache_hit");
-      span.args().sample_id = static_cast<std::int64_t>(id);
-      span.args().bytes = static_cast<std::int64_t>(entry.length);
-      charge_cache_hit();
+      charge_hit(metrics_.cache_hits, metrics_.cache_hit_bytes, "cache_hit",
+                 id, entry.length);
       return *hit;
     }
     ++metrics_.cache_misses;
@@ -110,35 +124,15 @@ void FetchEngine::fetch_into(std::uint64_t id, MutableByteSpan dst,
   const auto& entry = ctx_.registry().lookup(id);
   const int owner = static_cast<int>(entry.owner);
   DDS_CHECK(dst.size() == entry.length);
-  auto& comm = *ctx_.comm;
-
-  if (ctx_.config->comm_mode == CommMode::TwoSided &&
-      owner != ctx_.group->rank()) {
-    // Message-broker alternative: request/response through the owner's
-    // broker.  The data plane still reads the owner's exposed region (the
-    // broker would serve from the same chunk); timing goes through the
-    // two-sided model including the broker service delay.
-    const auto* region = static_cast<const std::byte*>(
-        ctx_.window->region_data(ctx_.primary_target(owner)));
-    std::memcpy(dst.data(), region + entry.offset, dst.size());
-    auto& rt = comm.runtime();
-    const double poll =
-        comm.rng().exponential(1.0 / ctx_.config->broker_poll_mean_s);
-    const double done = rt.network().two_sided_fetch_time(
-        comm.world_rank(), ctx_.group->world_rank_of(owner),
-        ctx_.nominal_sample_bytes, comm.clock().now(), poll);
-    comm.clock().advance_to(done);
-  } else {
-    // One-sided RMA (the paper's design): lock, get, unlock, hardened with
-    // retry/failover/checksum verification.  When the caller holds a
-    // batch-wide lock epoch, the lock share of the software overhead is
-    // amortized away.
-    const double overhead_scale =
-        lock_amortized ? 1.0 - comm.runtime().machine().net.rma_lock_fraction
-                       : 1.0;
-    resilience_.fetch(id, entry, dst, locked, overhead_scale);
-  }
-
+  // One-sided RMA (the paper's design): lock, get, unlock, hardened with
+  // retry/failover/checksum verification.  When the caller holds a
+  // batch-wide lock epoch, the lock share of the software overhead is
+  // amortized away.
+  const double overhead_scale =
+      lock_amortized
+          ? 1.0 - ctx_.comm->runtime().machine().net.rma_lock_fraction
+          : 1.0;
+  resilience_.fetch(id, entry, dst, locked, overhead_scale);
   account_get(owner, entry.length);
 }
 
@@ -157,12 +151,6 @@ std::vector<graph::GraphSample> FetchEngine::get_batch(
     std::span<const std::uint64_t> ids) {
   if (ids.empty()) return {};
   account_sched(ids);
-  // The planner paths assume one-sided access to the owners' exposed
-  // regions; a two-sided broker serves requests individually, so batched
-  // modes degenerate to the per-sample loop there.
-  if (ctx_.config->comm_mode == CommMode::TwoSided) {
-    return get_batch_per_sample(ids);
-  }
   switch (ctx_.config->batch_fetch) {
     case BatchFetchMode::PerSample:
       return get_batch_per_sample(ids);
@@ -202,13 +190,8 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_per_sample(
 ByteBuffer FetchEngine::get_cold_bytes(std::uint64_t id,
                                        const DataRegistry::Entry& entry) {
   if (const ByteBuffer* hit = staging_->staged_lookup(id)) {
-    ++metrics_.staged_hits;
-    metrics_.staged_hit_bytes += entry.length;
-    tracing::Span span(ctx_.tracer(), ctx_.clock(), tracing::Category::Cache,
-                       "staged_hit");
-    span.args().sample_id = static_cast<std::int64_t>(id);
-    span.args().bytes = static_cast<std::int64_t>(entry.length);
-    charge_cache_hit();
+    charge_hit(metrics_.staged_hits, metrics_.staged_hit_bytes, "staged_hit",
+               id, entry.length);
     return *hit;
   }
   // Synchronous miss: enqueue and immediately drain.  The queue still
@@ -221,42 +204,6 @@ ByteBuffer FetchEngine::get_cold_bytes(std::uint64_t id,
   return bytes;
 }
 
-void FetchEngine::serve_staged_hit(const PlannedSample& sample,
-                                   std::vector<graph::GraphSample>& out) {
-  const ByteBuffer* bytes = staging_->staged_lookup(sample.id);
-  DDS_CHECK(bytes != nullptr);
-  ++metrics_.staged_hits;
-  metrics_.staged_hit_bytes += sample.length;
-  auto& clock = ctx_.clock();
-  const double t0 = clock.now();
-  {
-    tracing::Span span(ctx_.tracer(), clock, tracing::Category::Cache,
-                       "staged_hit");
-    span.args().sample_id = static_cast<std::int64_t>(sample.id);
-    span.args().bytes = static_cast<std::int64_t>(sample.length);
-    charge_cache_hit();
-  }
-  decode_occurrences(sample, ByteSpan(*bytes), clock.now() - t0, out);
-}
-
-void FetchEngine::serve_cache_hit(const PlannedSample& sample,
-                                  std::vector<graph::GraphSample>& out) {
-  const ByteBuffer* bytes = cache_.lookup(sample.id);
-  DDS_CHECK(bytes != nullptr);
-  ++metrics_.cache_hits;
-  metrics_.cache_hit_bytes += sample.length;
-  auto& clock = ctx_.clock();
-  const double t0 = clock.now();
-  {
-    tracing::Span span(ctx_.tracer(), clock, tracing::Category::Cache,
-                       "cache_hit");
-    span.args().sample_id = static_cast<std::int64_t>(sample.id);
-    span.args().bytes = static_cast<std::int64_t>(sample.length);
-    charge_cache_hit();
-  }
-  decode_occurrences(sample, ByteSpan(*bytes), clock.now() - t0, out);
-}
-
 std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
     std::span<const std::uint64_t> ids, bool coalesce) {
   tracing::Span batch_span(ctx_.tracer(), ctx_.clock(),
@@ -265,8 +212,8 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
   // Plan stage, with the Cache stage (and, when tiered, the hot/cold
   // partition) as its residency predicate: ids already resident — or cold,
   // hence owned by the Staging stage — never enter a transfer plan.
-  // `contains`/`is_cold` do not promote — the authoritative lookups in
-  // serve_cache_hit / serve_staged_hit do.
+  // `contains`/`is_cold` do not promote — the authoritative lookups that
+  // serve the hits do.
   const bool tiered = staging_.has_value();
   std::vector<PlannedSample> diverted;
   std::optional<tracing::Span> plan_span;
@@ -317,8 +264,14 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
   }
 
   // Cache stage: serve every resident sample before any lock epoch opens.
-  for (const PlannedSample& s : cached) serve_cache_hit(s, out);
-  for (const PlannedSample& s : staged) serve_staged_hit(s, out);
+  for (const PlannedSample& s : cached) {
+    serve_hit(cache_.lookup(s.id), metrics_.cache_hits,
+              metrics_.cache_hit_bytes, "cache_hit", s, out);
+  }
+  for (const PlannedSample& s : staged) {
+    serve_hit(staging_->staged_lookup(s.id), metrics_.staged_hits,
+              metrics_.staged_hit_bytes, "staged_hit", s, out);
+  }
 
   for (const TargetPlan& tp : plan.targets) {
     if (!coalesce) {
@@ -404,17 +357,14 @@ bool FetchEngine::run_coalesced_transfer(const TargetPlan& tp,
   transport_.lock(target);
   ++metrics_.coalesced_transfers;
   metrics_.coalesced_segments += segments.size();
-  bool delivered = false;
-  try {
-    transport_.getv(segments, target,
-                    ctx_.nominal_sample_bytes * tp.samples.size());
-    metrics_.coalesced_bytes += staging.size();
-    delivered = true;
-  } catch (const NetworkError&) {
-    // Time was charged by the transport; the caller falls back per sample.
-  }
+  const RmaTransport::Transfer t =
+      transport_.getv(segments, target,
+                      ctx_.nominal_sample_bytes * tp.samples.size(),
+                      ctx_.clock().now());
+  ctx_.clock().advance_to(t.done);
   transport_.unlock(target);
-  return delivered;
+  if (t.delivered) metrics_.coalesced_bytes += staging.size();
+  return t.delivered;
 }
 
 void FetchEngine::decode_occurrences(const PlannedSample& sample,

@@ -104,23 +104,24 @@ class FetchEngine {
                           double fetch_share,
                           std::vector<graph::GraphSample>& out);
 
-  /// Serves one planned sample from the cache: charges the modeled hit
-  /// cost, counts the hit, and decodes every occurrence.
-  void serve_cache_hit(const PlannedSample& sample,
-                       std::vector<graph::GraphSample>& out);
-
   /// Staging stage, single-sample path: staged-set hit or a synchronous
   /// enqueue+drain through the cold tier (the queue still serializes issue
   /// times, so depth backpressure applies even without batch overlap).
   ByteBuffer get_cold_bytes(std::uint64_t id, const DataRegistry::Entry& entry);
 
-  /// Serves one planned cold sample from the staged set (tiered batches).
-  void serve_staged_hit(const PlannedSample& sample,
-                        std::vector<graph::GraphSample>& out);
+  /// Bookkeeping of one cache or staged-set hit: counts it in `hits` and
+  /// `hit_bytes`, and charges its modeled cost (lookup service + memcpy of
+  /// the nominal payload at CPU memcpy bandwidth) inside a `name` span.
+  void charge_hit(MetricsRegistry::Counter& hits,
+                  MetricsRegistry::Counter& hit_bytes, const char* name,
+                  std::uint64_t id, std::uint64_t length);
 
-  /// Charges the modeled cost of a cache hit (lookup service + memcpy of
-  /// the nominal payload at CPU memcpy bandwidth).
-  void charge_cache_hit();
+  /// Serves one planned sample from resident `bytes` (the cache's or the
+  /// staged set's lookup): charges the hit, then decodes every occurrence.
+  void serve_hit(const ByteBuffer* bytes, MetricsRegistry::Counter& hits,
+                 MetricsRegistry::Counter& hit_bytes, const char* name,
+                 const PlannedSample& sample,
+                 std::vector<graph::GraphSample>& out);
 
   /// Scheduling accounting (no-op unless locality_mode != Shuffle): counts
   /// each unique id of a request as planned-local or planned-remote under

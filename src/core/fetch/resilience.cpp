@@ -13,9 +13,9 @@ namespace dds::core::fetch {
 
 namespace {
 
-// Retry policy.  Retries and failovers only engage on NetworkError or a
-// checksum mismatch, which only occur when fault injection is armed — with
-// faults off none of this adds work to the hot path.
+// Retry policy.  Retries and failovers only engage on an undelivered
+// transfer or a checksum mismatch, which only occur when fault injection
+// is armed — with faults off none of this adds work to the hot path.
 
 /// Attempts per target per fetch.
 constexpr int kMaxAttempts = 3;
@@ -164,47 +164,31 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     double overhead_scale) {
   auto& clock = ctx_->clock();
   FetchMetrics& m = *ctx_->metrics;
-  // `backup` is -1 unless hedging is on (see fetch()).
+  // `backup` is -1 unless hedging is on (see fetch()).  An infinite
+  // deadline — hedging disarmed, the target still calibrating, or no
+  // viable backup twin — never fires a backup.
   const double deadline =
       backup >= 0 ? health_.deadline(static_cast<std::size_t>(target))
                   : std::numeric_limits<double>::infinity();
 
-  if (!std::isfinite(deadline)) {
-    // Plain clock-coupled attempt: hedging disarmed, the target is still
-    // calibrating, or no viable backup twin exists.
-    const double t0 = clock.now();
-    bool delivered = false;
-    if (own_lock) transport_->lock(target);
-    try {
-      transport_->get(dst, target, entry.offset, ctx_->nominal_sample_bytes,
-                      overhead_scale);
-      delivered = true;
-    } catch (const NetworkError&) {
-      // Transport-level failure: the time was already charged; the caller
-      // does the retry/failover bookkeeping.
-    }
-    if (own_lock) transport_->unlock(target);
-    if (delivered) {
-      health_.observe(static_cast<std::size_t>(target), clock.now() - t0);
-    }
-    return delivered ? Attempt::Primary : Attempt::Failed;
-  }
-
-  // Hedged attempt: issue the primary leg deferred, and if its modeled
-  // completion overruns the target's adaptive deadline (or the leg fails
-  // outright), race a backup get at the twin.  First response wins; the
-  // clock is monotonic, so the winner is computed before any advance.
+  // Price the primary leg at its issue time.  When it settles the attempt
+  // (delivered within the deadline, or failed with no backup to race),
+  // commit its completion inside the lock epoch.  Otherwise race a backup
+  // get at the twin: first response wins, and the clock is monotonic, so
+  // the winner is computed before any advance.
   const double t0 = clock.now();
   if (own_lock) transport_->lock(target);
-  const RmaTransport::DeferredGet p = transport_->get_deferred(
+  const RmaTransport::Transfer p = transport_->get(
       dst, target, entry.offset, ctx_->nominal_sample_bytes, overhead_scale,
       t0);
-  if (own_lock) transport_->unlock(target);
-  if (p.delivered && p.done - t0 <= deadline) {
+  if (p.delivered ? p.done - t0 <= deadline : !std::isfinite(deadline)) {
     clock.advance_to(p.done);
+    if (own_lock) transport_->unlock(target);
+    if (!p.delivered) return Attempt::Failed;
     health_.observe(static_cast<std::size_t>(target), p.done - t0);
     return Attempt::Primary;
   }
+  if (own_lock) transport_->unlock(target);
 
   // The backup fires when the origin gives up waiting: at the deadline, or
   // earlier if the primary's failure is observed first.
@@ -223,7 +207,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
   // lock; only take our own when the backup isn't that rank.
   const bool backup_own_lock = !(locked && backup == primary);
   if (backup_own_lock) transport_->lock(backup);
-  const RmaTransport::DeferredGet b = transport_->get_deferred(
+  const RmaTransport::Transfer b = transport_->get(
       MutableByteSpan(hedge_scratch_), backup, entry.offset,
       ctx_->nominal_sample_bytes, overhead_scale, b_start);
   if (backup_own_lock) transport_->unlock(backup);

@@ -50,7 +50,7 @@ void StagingStage::enqueue(std::uint64_t id,
 
   // Timing plane: the read issues when a queue slot frees — the completion
   // of the read staging_depth places ahead of this one — and its own
-  // completion is modeled now, with no clock movement (get_deferred
+  // completion is modeled now, with no clock movement (the transport's
   // discipline).
   double ready = clock.now();
   if (recent_dones_.size() >= static_cast<std::size_t>(cfg.staging_depth)) {

@@ -5,8 +5,8 @@
 // cold miss is enqueued into a deep asynchronous staging queue whose
 // completion is modeled at enqueue time by the parallel filesystem's
 // deferred object read (ParallelFileSystem::stage_read_at) — the clock
-// does NOT advance while a read sits in the queue, exactly like
-// RmaTransport::get_deferred.  The consumer blocks (advance_to) only when
+// does NOT advance while a read sits in the queue, exactly like an
+// RmaTransport get.  The consumer blocks (advance_to) only when
 // it drains the entry for bytes it needs, so with a deep enough queue the
 // storage latency hides behind hot RMA traffic and — through the
 // prefetching loader's double buffer — training compute.

@@ -1,7 +1,5 @@
 #include "core/fetch/transport.hpp"
 
-#include <string>
-
 #include "common/tracing/tracer.hpp"
 
 namespace dds::core::fetch {
@@ -29,32 +27,26 @@ RmaTransport::FaultDecision RmaTransport::decide_fault(int target,
   const int target_world = ctx_->comm->world_rank_of(target);
   if (inj == nullptr || origin_world == target_world) return d;
 
-  if (inj->target_dead(target_world, now)) {
-    // A dead target never answers: the origin pays for a small probe (the
-    // rendezvous that times out) and observes the failure.
+  // A failed transfer ends when the origin's small probe (the rendezvous
+  // that times out) would have completed.
+  const auto fail = [&] {
     d.fail = true;
     d.fail_done = rt.network().rma_get_time(origin_world, target_world, 64,
                                             now, overhead_scale);
     return d;
-  }
+  };
+  // A dead target never answers; a partitioned or lost transfer never
+  // arrives.
+  if (inj->target_dead(target_world, now)) return fail();
   const faults::LinkOutcome link =
       inj->link_outcome(origin_world, target_world, now);
-  if (link.drop) {
-    // Partitioned or lost in transit: same timed-out probe as a failure.
-    d.fail = true;
-    d.fail_done = rt.network().rma_get_time(origin_world, target_world, 64,
-                                            now, overhead_scale);
-    return d;
-  }
+  if (link.drop) return fail();
   d.extra_latency_s = link.extra_latency_s;
   switch (inj->rma_outcome(origin_world)) {
     case faults::GetOutcome::Ok:
       break;
     case faults::GetOutcome::Fail:
-      d.fail = true;
-      d.fail_done = rt.network().rma_get_time(origin_world, target_world, 64,
-                                              now, overhead_scale);
-      break;
+      return fail();
     case faults::GetOutcome::Corrupt:
       d.corrupt = true;
       break;
@@ -62,96 +54,80 @@ RmaTransport::FaultDecision RmaTransport::decide_fault(int target,
   return d;
 }
 
-bool RmaTransport::resolve_fault(int target, double overhead_scale,
-                                 const char* what) {
-  auto& clock = ctx_->clock();
-  const FaultDecision d = decide_fault(target, overhead_scale, clock.now());
-  if (d.fail) {
-    clock.advance_to(d.fail_done);
-    throw NetworkError(std::string(what) + " failed: transfer from " +
-                       std::to_string(ctx_->comm->world_rank()) + " to " +
-                       std::to_string(ctx_->comm->world_rank_of(target)) +
-                       " died (dead target, partition, loss, or transient "
-                       "fault)");
-  }
-  // Link jitter delays the transfer: the origin's issue point slips, so
-  // the completion (and queue occupancy) shift by the same amount.
-  if (d.extra_latency_s > 0.0) clock.advance(d.extra_latency_s);
-  return d.corrupt;
-}
-
-void RmaTransport::get(MutableByteSpan dst, int target, std::size_t offset,
-                       std::uint64_t charge_bytes, double overhead_scale) {
-  ++ctx_->metrics->rma_transfers;
-  tracing::Span span(ctx_->tracer(), ctx_->clock(),
-                     tracing::Category::Transport, "rma_get");
-  span.args().target = ctx_->comm->world_rank_of(target);
-  span.args().bytes = static_cast<std::int64_t>(dst.size());
-  const bool corrupt = resolve_fault(target, overhead_scale, "RMA get");
-  ctx_->window->get(dst, target, offset, charge_bytes, overhead_scale);
-  if (corrupt && !dst.empty()) {
-    // Delivered, but damaged in flight: the real bytes landed, then one
-    // flips in the *destination* buffer only.  The exposed region stays
-    // intact, so a retry (or the registry checksum) can genuinely recover
-    // the true payload.
-    auto* inj = ctx_->comm->runtime().fault_injector();
-    dst[inj->corrupt_byte(ctx_->comm->world_rank(), dst.size())] ^=
-        std::byte{0xFF};
+void RmaTransport::corrupt(
+    std::span<const simmpi::Window::GetSegment> segments) {
+  std::uint64_t total = 0;
+  for (const auto& seg : segments) total += seg.dst.size();
+  if (total == 0) return;
+  // Delivered, but damaged in flight: the real bytes landed, then one
+  // flips in the *destination* buffer only.  The exposed region stays
+  // intact, so a retry (or the registry checksum) can genuinely recover
+  // the true payload.
+  auto* inj = ctx_->comm->runtime().fault_injector();
+  std::size_t hit = inj->corrupt_byte(ctx_->comm->world_rank(),
+                                      static_cast<std::size_t>(total));
+  for (const auto& seg : segments) {
+    if (hit < seg.dst.size()) {
+      seg.dst[hit] ^= std::byte{0xFF};
+      return;
+    }
+    hit -= seg.dst.size();
   }
 }
 
-RmaTransport::DeferredGet RmaTransport::get_deferred(
-    MutableByteSpan dst, int target, std::size_t offset,
-    std::uint64_t charge_bytes, double overhead_scale, double start) {
+void RmaTransport::trace(const char* name, int target, std::uint64_t bytes,
+                         double start, double done) const {
+  tracing::EventTracer* tr = ctx_->tracer();
+  if (tr == nullptr) return;
+  tracing::EventArgs args;
+  args.target = ctx_->comm->world_rank_of(target);
+  args.bytes = static_cast<std::int64_t>(bytes);
+  tr->record(tracing::Category::Transport, name, start, done, args);
+}
+
+RmaTransport::Transfer RmaTransport::get(MutableByteSpan dst, int target,
+                                         std::size_t offset,
+                                         std::uint64_t charge_bytes,
+                                         double overhead_scale, double start) {
   ++ctx_->metrics->rma_transfers;
-  DeferredGet out;
+  Transfer out;
   const FaultDecision d = decide_fault(target, overhead_scale, start);
   if (d.fail) {
     out.done = d.fail_done;
-    return out;
+  } else {
+    // Link jitter delays the issue point, so the completion (and queue
+    // occupancy) shift by the same amount.
+    out.done = ctx_->window->get_at(dst, target, offset,
+                                    start + d.extra_latency_s, charge_bytes,
+                                    overhead_scale);
+    out.delivered = true;
+    if (d.corrupt) {
+      const simmpi::Window::GetSegment seg{offset, dst};
+      corrupt(std::span(&seg, 1));
+    }
   }
-  out.done = ctx_->window->get_at(dst, target, offset,
-                                  start + d.extra_latency_s, charge_bytes,
-                                  overhead_scale);
-  out.delivered = true;
-  if (d.corrupt && !dst.empty()) {
-    auto* inj = ctx_->comm->runtime().fault_injector();
-    dst[inj->corrupt_byte(ctx_->comm->world_rank(), dst.size())] ^=
-        std::byte{0xFF};
-  }
+  trace("rma_get", target, dst.size(), start, out.done);
   return out;
 }
 
-void RmaTransport::getv(std::span<const simmpi::Window::GetSegment> segments,
-                        int target, std::uint64_t charge_bytes) {
+RmaTransport::Transfer RmaTransport::getv(
+    std::span<const simmpi::Window::GetSegment> segments, int target,
+    std::uint64_t charge_bytes, double start) {
   ++ctx_->metrics->rma_transfers;
-  tracing::Span span(ctx_->tracer(), ctx_->clock(),
-                     tracing::Category::Transport, "rma_getv");
-  span.args().target = ctx_->comm->world_rank_of(target);
-  std::uint64_t span_bytes = 0;
-  for (const auto& seg : segments) span_bytes += seg.dst.size();
-  span.args().bytes = static_cast<std::int64_t>(span_bytes);
-  const bool corrupt =
-      resolve_fault(target, /*overhead_scale=*/1.0, "vectored RMA get");
-  ctx_->window->getv(segments, target, charge_bytes);
-  if (corrupt) {
-    std::uint64_t total = 0;
-    for (const auto& seg : segments) total += seg.dst.size();
-    if (total == 0) return;
-    // One byte somewhere in the concatenated payload was damaged in
-    // flight; only this transfer observed it, so per-sample checksum
-    // verification downstream can recover.
-    auto* inj = ctx_->comm->runtime().fault_injector();
-    std::size_t hit = inj->corrupt_byte(ctx_->comm->world_rank(),
-                                        static_cast<std::size_t>(total));
-    for (const auto& seg : segments) {
-      if (hit < seg.dst.size()) {
-        seg.dst[hit] ^= std::byte{0xFF};
-        break;
-      }
-      hit -= seg.dst.size();
-    }
+  Transfer out;
+  const FaultDecision d = decide_fault(target, /*overhead_scale=*/1.0, start);
+  if (d.fail) {
+    out.done = d.fail_done;
+  } else {
+    out.done = ctx_->window->getv_at(segments, target,
+                                     start + d.extra_latency_s, charge_bytes);
+    out.delivered = true;
+    if (d.corrupt) corrupt(segments);
   }
+  std::uint64_t bytes = 0;
+  for (const auto& seg : segments) bytes += seg.dst.size();
+  trace("rma_getv", target, bytes, start, out.done);
+  return out;
 }
 
 }  // namespace dds::core::fetch

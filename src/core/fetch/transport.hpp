@@ -8,26 +8,26 @@
 // into the engine inherits the same chaos semantics for free, and the
 // window/collective layers stay testable without fault plumbing.
 //
-// Injection semantics (identical to the PR-1 window-level behaviour, so
-// fault-injection tests pass byte-identical through the new engine):
-//  * faults apply only to remote transfers (origin != target world rank);
-//  * a dead target charges a 64-byte probe (the rendezvous that times out)
-//    and throws NetworkError — no RNG draw consumed;
-//  * link phases (gray failures) are consulted next: a partitioned or lost
-//    transfer charges the probe and throws, jitter stretches the eventual
-//    completion — two draws from the origin's dedicated link stream per
-//    remote transfer, only when link faults are configured at all;
-//  * otherwise exactly one outcome draw per transfer: Fail charges the same
-//    probe and throws; Corrupt performs the real transfer then flips one
-//    byte of the destination (for a vectored get, one byte somewhere in the
-//    concatenated payload), leaving the exposed region intact so a retry or
-//    the registry checksum can recover the true bytes.
+// Every transfer is a pure pricing call: it is decided and priced against
+// an explicit issue time, moves the bytes, and returns {delivered, done}
+// without advancing the clock or throwing.  The caller commits `done`
+// once — a hedging caller races two legs and commits the winner, since the
+// virtual clock is monotonic and first-response-wins must be computed
+// before any advance.
 //
-// Hedged transfers use get_deferred: the same fault semantics, but decided
-// and priced against an explicit issue time, with the completion returned
-// to the caller instead of advancing the clock — the resilience stage
-// commits min(primary, backup) afterwards (the virtual clock is monotonic,
-// so first-response-wins must be computed before any advance).
+// Injection semantics:
+//  * faults apply only to remote transfers (origin != target world rank);
+//  * a dead target fails the transfer at the completion of a 64-byte probe
+//    (the rendezvous that times out) — no RNG draw consumed;
+//  * link phases (gray failures) are consulted next: a partitioned or lost
+//    transfer fails at the same probe completion, jitter delays the issue
+//    point — two draws from the origin's dedicated link stream per remote
+//    transfer, only when link faults are configured at all;
+//  * otherwise exactly one outcome draw per transfer: Fail ends at the
+//    same probe completion; Corrupt performs the real transfer then flips
+//    one byte of the destination (for a vectored get, one byte somewhere in
+//    the concatenated payload), leaving the exposed region intact so a
+//    retry or the registry checksum can recover the true bytes.
 #pragma once
 
 #include <cstdint>
@@ -46,38 +46,31 @@ class RmaTransport {
   void lock(int target);
   void unlock(int target);
 
-  /// One plain get inside an active lock epoch on `target`; counted in
-  /// rma_transfers.  Throws NetworkError on an injected transport failure
-  /// (the probe cost is already charged).
-  void get(MutableByteSpan dst, int target, std::size_t offset,
-           std::uint64_t charge_bytes, double overhead_scale);
-
-  /// One vectored get inside an active lock epoch (the Coalesced mode's
-  /// single transaction per target); counted in rma_transfers.
-  void getv(std::span<const simmpi::Window::GetSegment> segments, int target,
-            std::uint64_t charge_bytes);
-
-  /// Outcome of one deferred (hedged) get: whether the payload landed in
-  /// the destination buffer, and the modeled completion time of the
-  /// attempt (success or failure) relative to its issue time.
-  struct DeferredGet {
+  /// Outcome of one transfer: whether the payload landed in the
+  /// destination, and the modeled completion of the attempt (success or
+  /// failure).
+  struct Transfer {
     bool delivered = false;
     double done = 0.0;
   };
 
-  /// One get modeled as issued at virtual time `start`, inside an active
-  /// lock epoch on `target`; counted in rma_transfers.  Never advances the
-  /// clock and never throws on injected faults — the fate (including the
-  /// failed-probe cost) is reported in the returned DeferredGet so a
-  /// hedging caller can race two legs and commit only the winner's time.
-  DeferredGet get_deferred(MutableByteSpan dst, int target, std::size_t offset,
-                           std::uint64_t charge_bytes, double overhead_scale,
-                           double start);
+  /// One get issued at virtual time `start` inside an active lock epoch on
+  /// `target`; counted in rma_transfers.  `overhead_scale` discounts the
+  /// per-get software overhead inside a batch-wide lock epoch.
+  Transfer get(MutableByteSpan dst, int target, std::size_t offset,
+               std::uint64_t charge_bytes, double overhead_scale,
+               double start);
+
+  /// One vectored get (the Coalesced mode's single transaction per target)
+  /// issued at `start` inside an active lock epoch; counted in
+  /// rma_transfers.
+  Transfer getv(std::span<const simmpi::Window::GetSegment> segments,
+                int target, std::uint64_t charge_bytes, double start);
 
  private:
   /// Injected fate of one remote transfer decided at time `now`.  `fail`
-  /// means no data (the caller charges `fail_done`, the timed-out probe's
-  /// completion); otherwise `extra_latency_s` stretches the completion and
+  /// means no data (the transfer ends at `fail_done`, the timed-out
+  /// probe's completion); otherwise `extra_latency_s` delays the issue and
   /// `corrupt` flips one destination byte after the real transfer.
   struct FaultDecision {
     bool fail = false;
@@ -91,10 +84,12 @@ class RmaTransport {
   /// when injection is off or the transfer is local.
   FaultDecision decide_fault(int target, double overhead_scale, double now);
 
-  /// Legacy throwing wrapper around decide_fault for the clock-coupled
-  /// paths: charges the failed probe and throws NetworkError on `fail`,
-  /// advances the clock by any jitter, returns the corrupt flag.
-  bool resolve_fault(int target, double overhead_scale, const char* what);
+  /// Flips one byte somewhere in the concatenated payload of `segments`.
+  void corrupt(std::span<const simmpi::Window::GetSegment> segments);
+
+  /// Records one transfer as a [start, done] span.
+  void trace(const char* name, int target, std::uint64_t bytes, double start,
+             double done) const;
 
   const FetchContext* ctx_;
 };

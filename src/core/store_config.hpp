@@ -11,15 +11,6 @@
 
 namespace dds::core {
 
-/// The communication framework 'f' of DS = (c, w, f).  The paper's design
-/// section considered a two-sided message-broker framework and rejected it
-/// for one-sided MPI RMA; both are implemented so the choice can be
-/// measured (bench_ablation_comm).
-enum class CommMode {
-  OneSidedRma,  ///< MPI_Win_lock(SHARED) + MPI_Get + unlock (the paper)
-  TwoSided      ///< request/response through a per-rank broker
-};
-
 /// How get_batch turns a batch of sample ids into RMA traffic.  All modes
 /// dedupe repeated ids (fetch once, decode per occurrence) and return
 /// samples in request order.
@@ -59,8 +50,8 @@ enum class LocalityMode {
 /// *hot shard*; the suffix lives in the cold tier (the simulated parallel
 /// FS).  Cold misses are enqueued into a deep asynchronous staging queue
 /// whose completions are modeled at issue time without advancing any clock
-/// (the get_deferred pattern), so staging overlaps hot RMA traffic and —
-/// through the prefetching loader's double buffer — training compute.
+/// (like every fetch-path transfer), so staging overlaps hot RMA traffic
+/// and — through the prefetching loader's double buffer — training compute.
 /// Staged bytes are promoted into the rank's staged set, so re-touches are
 /// served at memory speed.  Off by default (hot_fraction = 1.0): no staging
 /// branch is taken and the tier counters stay zero.
@@ -91,11 +82,6 @@ struct DDStoreConfig {
   /// (the paper), one lock epoch per target, or fully coalesced vectored
   /// transfers.
   BatchFetchMode batch_fetch = BatchFetchMode::PerSample;
-  /// Communication framework (one-sided RMA is the paper's choice).
-  CommMode comm_mode = CommMode::OneSidedRma;
-  /// TwoSided only: mean delay until the target's broker thread services a
-  /// queued request (it competes with the target's own training loop).
-  double broker_poll_mean_s = 300e-6;
   /// Per-rank hot-sample LRU cache capacity in *actual* payload bytes
   /// (0 disables the Cache stage entirely).  Hits are served before any
   /// lock epoch at a modeled memcpy cost (CpuParams::cache_hit_service_s +

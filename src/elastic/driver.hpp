@@ -47,7 +47,7 @@ struct ElasticConfig {
 
 class ElasticDriver {
  public:
-  /// The store must have DDStoreConfig::elastic set.
+  /// Works on any store; `store` must outlive the driver.
   ElasticDriver(core::DDStore& store, const ElasticConfig& config);
 
   /// Collective epoch-boundary step; `epoch_seconds` is this rank's wall

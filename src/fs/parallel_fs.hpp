@@ -97,7 +97,7 @@ class ParallelFileSystem {
   /// seek penalty plus the queued bandwidth share — WITHOUT touching any
   /// clock.  The caller owns when (and whether) to advance to it; that is
   /// what lets a deep staging queue overlap storage reads with RMA traffic
-  /// and compute (the get_deferred pattern).  Object reads, not block
+  /// and compute (the RMA transport's pattern).  Object reads, not block
   /// reads: no page-cache participation and no block amplification,
   /// mirroring GIDS-style fine-grained storage access.
   double stage_read_at(double ready, std::uint64_t nominal_bytes);

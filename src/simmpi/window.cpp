@@ -107,27 +107,8 @@ void Window::check_bounds(int target, std::size_t offset,
 
 void Window::get(MutableByteSpan dst, int target, std::size_t offset,
                  std::uint64_t charge_bytes, double overhead_scale) {
-  const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) != HeldLock::None,
-                "get outside a lock epoch");
-  check_bounds(target, offset, dst.size());
-
-  const auto& region = shared_->regions[t];
-  std::memcpy(dst.data(), region.data() + offset, dst.size());
-  auto& rt = comm_.runtime();
-  const double trace_t0 = comm_.clock().now();
-  const double done = rt.network().rma_get_time(
-      comm_.world_rank(), comm_.world_rank_of(target),
-      charge_bytes == 0 ? dst.size() : charge_bytes, comm_.clock().now(),
-      overhead_scale);
-  comm_.clock().advance_to(done);
-  if (tracing::EventTracer* tr = comm_.tracer()) {
-    tracing::EventArgs args;
-    args.target = comm_.world_rank_of(target);
-    args.bytes = static_cast<std::int64_t>(dst.size());
-    tr->record(tracing::Category::Simmpi, "win_get", trace_t0,
-               comm_.clock().now(), args);
-  }
+  comm_.clock().advance_to(get_at(dst, target, offset, comm_.clock().now(),
+                                  charge_bytes, overhead_scale));
 }
 
 double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
@@ -154,6 +135,13 @@ double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
 
 void Window::getv(std::span<const GetSegment> segments, int target,
                   std::uint64_t charge_bytes, double overhead_scale) {
+  comm_.clock().advance_to(getv_at(segments, target, comm_.clock().now(),
+                                   charge_bytes, overhead_scale));
+}
+
+double Window::getv_at(std::span<const GetSegment> segments, int target,
+                       double start, std::uint64_t charge_bytes,
+                       double overhead_scale) {
   const auto t = static_cast<std::size_t>(target);
   DDS_CHECK_MSG(held_.at(t) != HeldLock::None, "getv outside a lock epoch");
   DDS_CHECK_MSG(!segments.empty(), "getv with no segments");
@@ -168,19 +156,17 @@ void Window::getv(std::span<const GetSegment> segments, int target,
     std::memcpy(seg.dst.data(), region.data() + seg.offset, seg.dst.size());
   }
   auto& rt = comm_.runtime();
-  const double trace_t0 = comm_.clock().now();
   const double done = rt.network().rma_getv_time(
       comm_.world_rank(), comm_.world_rank_of(target),
-      charge_bytes == 0 ? total : charge_bytes, segments.size(),
-      comm_.clock().now(), overhead_scale);
-  comm_.clock().advance_to(done);
+      charge_bytes == 0 ? total : charge_bytes, segments.size(), start,
+      overhead_scale);
   if (tracing::EventTracer* tr = comm_.tracer()) {
     tracing::EventArgs args;
     args.target = comm_.world_rank_of(target);
     args.bytes = static_cast<std::int64_t>(total);
-    tr->record(tracing::Category::Simmpi, "win_getv", trace_t0,
-               comm_.clock().now(), args);
+    tr->record(tracing::Category::Simmpi, "win_getv", start, done, args);
   }
+  return done;
 }
 
 void Window::put(ByteSpan src, int target, std::size_t offset) {

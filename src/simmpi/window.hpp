@@ -92,13 +92,12 @@ class Window {
   void get(MutableByteSpan dst, int target, std::size_t offset,
            std::uint64_t charge_bytes = 0, double overhead_scale = 1.0);
 
-  /// Timing-decoupled get for hedged transfers: moves the bytes now (same
-  /// bounds/lock checks as get()) and charges the target's NIC, but the
-  /// transfer is modeled as *issued at* virtual time `start` and the
-  /// completion time is RETURNED instead of advancing the caller's clock.
-  /// A hedging caller computes both legs' completions this way, then
-  /// commits min(primary, backup) — the clock is monotonic, so the winner
-  /// must be known before any advance.  Requires an active lock epoch.
+  /// get() priced as issued at virtual time `start`: moves the bytes now
+  /// (same bounds/lock checks) and charges the target's NIC, but RETURNS
+  /// the completion time instead of advancing the caller's clock.  A
+  /// hedging caller prices both legs this way, then commits
+  /// min(primary, backup) — the clock is monotonic, so the winner must be
+  /// known before any advance.  get() is advance_to(get_at(now)).
   double get_at(MutableByteSpan dst, int target, std::size_t offset,
                 double start, std::uint64_t charge_bytes = 0,
                 double overhead_scale = 1.0);
@@ -118,6 +117,12 @@ class Window {
   /// segment sizes), mirroring get()'s nominal-byte accounting.
   void getv(std::span<const GetSegment> segments, int target,
             std::uint64_t charge_bytes = 0, double overhead_scale = 1.0);
+
+  /// getv() priced as issued at virtual time `start`, returning the
+  /// completion time instead of advancing the clock (see get_at).
+  double getv_at(std::span<const GetSegment> segments, int target,
+                 double start, std::uint64_t charge_bytes = 0,
+                 double overhead_scale = 1.0);
 
   /// Writes src into `target`'s region at `offset` (exclusive lock needed).
   void put(ByteSpan src, int target, std::size_t offset);

@@ -1,5 +1,5 @@
-// Tests for the DDStore design-space knobs: two-sided vs one-sided
-// communication, lock amortization, and the NVMe-staged backend.
+// Tests for the DDStore design-space knobs: lock amortization, the
+// NVMe-staged backend, and raw vs timed reads.
 #include <gtest/gtest.h>
 
 #include "datagen/dataset.hpp"
@@ -35,60 +35,6 @@ class ModesTest : public ::testing::Test {
   std::unique_ptr<datagen::SyntheticDataset> ds_;
   std::unique_ptr<formats::CffReader> reader_;
 };
-
-TEST_F(ModesTest, TwoSidedModeReturnsCorrectData) {
-  simmpi::Runtime rt(4, machine_);
-  rt.run([&](simmpi::Comm& c) {
-    auto client = client_for(c);
-    DDStoreConfig cfg;
-    cfg.comm_mode = CommMode::TwoSided;
-    DDStore store(c, *reader_, client, cfg);
-    for (std::uint64_t id = 0; id < kSamples; ++id) {
-      EXPECT_EQ(store.get(id), ds_->make(id)) << "sample " << id;
-    }
-  });
-}
-
-TEST_F(ModesTest, TwoSidedSlowerThanRmaWithSlowBroker) {
-  double rma_time = 0, two_sided_time = 0;
-  for (const bool two_sided : {false, true}) {
-    simmpi::Runtime rt(4, machine_);
-    rt.run([&](simmpi::Comm& c) {
-      auto client = client_for(c);
-      DDStoreConfig cfg;
-      if (two_sided) {
-        cfg.comm_mode = CommMode::TwoSided;
-        cfg.broker_poll_mean_s = 5e-3;  // broker polls between steps
-      }
-      DDStore store(c, *reader_, client, cfg);
-      c.barrier();
-      c.clock().reset();
-      for (std::uint64_t id = 0; id < kSamples; ++id) store.get(id);
-      const double t = c.allreduce(c.clock().now(), simmpi::Op::Max);
-      if (c.rank() == 0) (two_sided ? two_sided_time : rma_time) = t;
-    });
-  }
-  EXPECT_GT(two_sided_time, rma_time);
-}
-
-TEST_F(ModesTest, TwoSidedLocalFetchSkipsBroker) {
-  simmpi::Runtime rt(2, machine_);
-  rt.run([&](simmpi::Comm& c) {
-    auto client = client_for(c);
-    DDStoreConfig cfg;
-    cfg.comm_mode = CommMode::TwoSided;
-    cfg.broker_poll_mean_s = 10e-3;
-    DDStore store(c, *reader_, client, cfg);
-    std::uint64_t local_id = 0;
-    for (std::uint64_t id = 0; id < kSamples; ++id) {
-      if (store.is_local(id)) local_id = id;
-    }
-    const double t0 = c.clock().now();
-    store.get(local_id);
-    // Local fetches never traverse the broker.
-    EXPECT_LT(c.clock().now() - t0, 1e-3);
-  });
-}
 
 TEST_F(ModesTest, LockPerTargetBatchIsCheaperThanPerSample) {
   double per_sample = 0, per_target = 0;

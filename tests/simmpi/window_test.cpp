@@ -118,6 +118,29 @@ TEST(Window, GetvChargeBytesOverridesTimingOnly) {
   });
 }
 
+TEST(Window, GetvAtPricesWithoutAdvancingTheClock) {
+  Runtime rt(2, test_machine());
+  rt.run([](Comm& c) {
+    ByteBuffer local = pattern_buffer(c.rank(), 512);
+    Window win(c, MutableByteSpan(local));
+    const int target = 1 - c.rank();
+
+    ByteBuffer dst(64);
+    const std::vector<Window::GetSegment> segs = {
+        {128, MutableByteSpan(dst)}};
+    win.lock(target, LockType::Shared);
+    const double now = c.clock().now();
+    const double done = win.getv_at(segs, target, now + 1e-3);
+    win.unlock(target);
+    EXPECT_EQ(c.clock().now(), now);  // priced at the issue time, not committed
+    EXPECT_GT(done, now + 1e-3);
+    EXPECT_EQ(0, std::memcmp(dst.data(),
+                             pattern_buffer(target, 512).data() + 128,
+                             dst.size()));
+    win.fence();
+  });
+}
+
 TEST(Window, GetvOutOfBoundsThrows) {
   Runtime rt(2, test_machine());
   EXPECT_THROW(rt.run([](Comm& c) {
