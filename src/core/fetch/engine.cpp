@@ -21,7 +21,7 @@ FetchEngine::FetchEngine(simmpi::Comm& comm, simmpi::Comm& group,
       cache_(config.cache_capacity_bytes),
       transport_(ctx_),
       resilience_(ctx_, transport_) {
-  if (config.tiered.enabled()) staging_.emplace(ctx_, transport_);
+  if (config.tiered.enabled()) staging_.emplace(ctx_);
 }
 
 void FetchEngine::account_sched(std::span<const std::uint64_t> ids) {
@@ -91,20 +91,23 @@ void FetchEngine::account_get(int owner, std::uint64_t length) {
 
 ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
   const auto& entry = ctx_.registry().lookup(id);
-  // Staging stage routes every cold sample before the cache stage ever
-  // sees it: cold ids live in the staged set, not the sample cache, so the
-  // hot working set and the staged set never compete for the same budget.
+  // Cache stage first, for every id: a hit never takes a lock epoch,
+  // consumes no retry budget, and touches no target's breaker (see
+  // DESIGN.md invariant).  After an elastic reshard narrows the hot prefix,
+  // a previously-hot sample can be both cached and cold — the cheaper
+  // cache hit wins until eviction retires it, as on the planned path.
+  if (const ByteBuffer* hit = cache_.enabled() ? cache_.lookup(id) : nullptr) {
+    charge_hit(metrics_.cache_hits, metrics_.cache_hit_bytes, "cache_hit", id,
+               entry.length);
+    return *hit;
+  }
+  // Staging stage owns every cold miss: cold ids live in the staged set,
+  // never the sample cache, so the hot working set and the staged set
+  // never compete for the same budget.
   if (staging_ && staging_->is_cold(id)) {
     return get_cold_bytes(id, entry);
   }
   if (cache_.enabled()) {
-    // Cache stage first: a hit never takes a lock epoch, consumes no retry
-    // budget, and touches no target's breaker (see DESIGN.md invariant).
-    if (const ByteBuffer* hit = cache_.lookup(id)) {
-      charge_hit(metrics_.cache_hits, metrics_.cache_hit_bytes, "cache_hit",
-                 id, entry.length);
-      return *hit;
-    }
     ++metrics_.cache_misses;
     if (tracing::EventTracer* tr = ctx_.tracer()) {
       tracing::EventArgs args;
@@ -114,26 +117,18 @@ ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
     }
   }
   ByteBuffer out(entry.length);
-  fetch_into(id, MutableByteSpan(out), /*locked=*/false);
+  fetch_into(id, MutableByteSpan(out));
   admit(id, ByteSpan(out));
   return out;
 }
 
-void FetchEngine::fetch_into(std::uint64_t id, MutableByteSpan dst,
-                             bool locked, bool lock_amortized) {
+void FetchEngine::fetch_into(std::uint64_t id, MutableByteSpan dst) {
   const auto& entry = ctx_.registry().lookup(id);
-  const int owner = static_cast<int>(entry.owner);
   DDS_CHECK(dst.size() == entry.length);
   // One-sided RMA (the paper's design): lock, get, unlock, hardened with
-  // retry/failover/checksum verification.  When the caller holds a
-  // batch-wide lock epoch, the lock share of the software overhead is
-  // amortized away.
-  const double overhead_scale =
-      lock_amortized
-          ? 1.0 - ctx_.comm->runtime().machine().net.rma_lock_fraction
-          : 1.0;
-  resilience_.fetch(id, entry, dst, locked, overhead_scale);
-  account_get(owner, entry.length);
+  // retry/failover/checksum verification.
+  resilience_.fetch(id, entry, dst);
+  account_get(static_cast<int>(entry.owner), entry.length);
 }
 
 graph::GraphSample FetchEngine::get(std::uint64_t id) {
@@ -154,10 +149,8 @@ std::vector<graph::GraphSample> FetchEngine::get_batch(
   switch (ctx_.config->batch_fetch) {
     case BatchFetchMode::PerSample:
       return get_batch_per_sample(ids);
-    case BatchFetchMode::LockPerTarget:
-      return get_batch_planned(ids, /*coalesce=*/false);
     case BatchFetchMode::Coalesced:
-      return get_batch_planned(ids, /*coalesce=*/true);
+      return get_batch_coalesced(ids);
   }
   throw InternalError("unknown BatchFetchMode");
 }
@@ -198,17 +191,13 @@ ByteBuffer FetchEngine::get_cold_bytes(std::uint64_t id,
   // serializes the issue time against the previous staging_depth reads, so
   // single-sample callers see the same device backpressure batches do.
   staging_->enqueue(id, entry);
-  staging_->begin_promotion();
-  ByteBuffer bytes = staging_->drain(id);
-  staging_->end_promotion();
-  return bytes;
+  return staging_->drain(id);
 }
 
-std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
-    std::span<const std::uint64_t> ids, bool coalesce) {
+std::vector<graph::GraphSample> FetchEngine::get_batch_coalesced(
+    std::span<const std::uint64_t> ids) {
   tracing::Span batch_span(ctx_.tracer(), ctx_.clock(),
-                           tracing::Category::Fetch,
-                           coalesce ? "batch_coalesced" : "batch_per_target");
+                           tracing::Category::Fetch, "batch_coalesced");
   // Plan stage, with the Cache stage (and, when tiered, the hot/cold
   // partition) as its residency predicate: ids already resident — or cold,
   // hence owned by the Staging stage — never enter a transfer plan.
@@ -274,27 +263,8 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
   }
 
   for (const TargetPlan& tp : plan.targets) {
-    if (!coalesce) {
-      // Ablation: one shared-lock epoch per distinct target; individual
-      // gets inside it with the lock overhead amortized after the first.
-      const int target = ctx_.primary_target(tp.owner);
-      transport_.lock(target);
-      bool first_in_epoch = true;
-      for (const PlannedSample& s : tp.samples) {
-        const double t0 = clock.now();
-        ByteBuffer bytes(static_cast<std::size_t>(s.length));
-        fetch_into(s.id, MutableByteSpan(bytes), /*locked=*/true,
-                   /*lock_amortized=*/!first_in_epoch);
-        first_in_epoch = false;
-        admit(s.id, ByteSpan(bytes));
-        decode_occurrences(s, ByteSpan(bytes), clock.now() - t0, out);
-      }
-      transport_.unlock(target);
-      continue;
-    }
-
-    // Coalesced: stage every merged range of this target in one vectored
-    // transfer, then verify and decode sample by sample.
+    // Stage every merged range of this target in one vectored transfer,
+    // then verify and decode sample by sample.
     ByteBuffer staging(tp.bytes);
     const double t0 = clock.now();
     const bool delivered = run_coalesced_transfer(tp, MutableByteSpan(staging));
@@ -315,7 +285,7 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
         fell_back = true;
         const double tf = clock.now();
         ByteBuffer bytes(entry.length);
-        fetch_into(s.id, MutableByteSpan(bytes), /*locked=*/false);
+        fetch_into(s.id, MutableByteSpan(bytes));
         admit(s.id, ByteSpan(bytes));
         decode_occurrences(s, ByteSpan(bytes), clock.now() - tf, out);
       }
@@ -326,15 +296,10 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_planned(
   // Staging stage, drain side: collect the cold reads issued before the
   // hot transfers.  Any read that completed while the RMA traffic ran
   // drains for free; the stage_wait recorder captures what didn't hide.
-  // Promotion into the staged set happens under one lock epoch per batch.
-  if (!cold_misses.empty()) {
-    staging_->begin_promotion();
-    for (const PlannedSample& s : cold_misses) {
-      const double t0 = clock.now();
-      const ByteBuffer bytes = staging_->drain(s.id);
-      decode_occurrences(s, ByteSpan(bytes), clock.now() - t0, out);
-    }
-    staging_->end_promotion();
+  for (const PlannedSample& s : cold_misses) {
+    const double t0 = clock.now();
+    const ByteBuffer bytes = staging_->drain(s.id);
+    decode_occurrences(s, ByteSpan(bytes), clock.now() - t0, out);
   }
   return out;
 }

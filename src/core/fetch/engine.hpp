@@ -9,8 +9,9 @@
 //   Staging     core/fetch/staging.hpp — tiered mode only: samples outside
 //               the hot shard are staged from the cold tier through a deep
 //               async queue instead of ever reaching the transport
-//   Transport   core/fetch/transport.hpp — per-sample / lock-per-target /
-//               coalesced getv window traffic + the fault-injection seam
+//   Transport   core/fetch/transport.hpp — per-sample get / coalesced getv
+//               window traffic, one lock epoch per transfer, + the
+//               fault-injection seam
 //   Resilience  core/fetch/resilience.hpp — retry, breaker, failover,
 //               degraded FS read, wrapping the transport
 //   Verify/     checksum validation + the local/remote/bytes/latency
@@ -85,13 +86,14 @@ class FetchEngine {
   }
 
  private:
-  void fetch_into(std::uint64_t id, MutableByteSpan dst, bool locked,
-                  bool lock_amortized = false);
+  /// Resilient single-sample fetch into `dst` (one lock epoch per
+  /// transfer attempt), then the Verify/Account bookkeeping.
+  void fetch_into(std::uint64_t id, MutableByteSpan dst);
 
   std::vector<graph::GraphSample> get_batch_per_sample(
       std::span<const std::uint64_t> ids);
-  std::vector<graph::GraphSample> get_batch_planned(
-      std::span<const std::uint64_t> ids, bool coalesce);
+  std::vector<graph::GraphSample> get_batch_coalesced(
+      std::span<const std::uint64_t> ids);
 
   /// Executes one target's coalesced transfer: lock, vectored get, unlock.
   /// Returns false when the transport failed (caller falls back to

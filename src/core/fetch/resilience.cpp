@@ -160,8 +160,7 @@ bool ResilienceStage::record_failure(int target) {
 
 ResilienceStage::Attempt ResilienceStage::attempt_once(
     std::uint64_t id, const DataRegistry::Entry& entry, MutableByteSpan dst,
-    int target, int backup, bool own_lock, bool locked, int primary,
-    double overhead_scale) {
+    int target, int backup) {
   auto& clock = ctx_->clock();
   FetchMetrics& m = *ctx_->metrics;
   // `backup` is -1 unless hedging is on (see fetch()).  An infinite
@@ -171,24 +170,24 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
       backup >= 0 ? health_.deadline(static_cast<std::size_t>(target))
                   : std::numeric_limits<double>::infinity();
 
-  // Price the primary leg at its issue time.  When it settles the attempt
-  // (delivered within the deadline, or failed with no backup to race),
-  // commit its completion inside the lock epoch.  Otherwise race a backup
-  // get at the twin: first response wins, and the clock is monotonic, so
-  // the winner is computed before any advance.
+  // Each leg is one lock epoch around one get.  Price the primary leg at
+  // its issue time.  When it settles the attempt (delivered within the
+  // deadline, or failed with no backup to race), commit its completion
+  // inside the lock epoch.  Otherwise race a backup get at the twin: first
+  // response wins, and the clock is monotonic, so the winner is computed
+  // before any advance.
   const double t0 = clock.now();
-  if (own_lock) transport_->lock(target);
+  transport_->lock(target);
   const RmaTransport::Transfer p = transport_->get(
-      dst, target, entry.offset, ctx_->nominal_sample_bytes, overhead_scale,
-      t0);
+      dst, target, entry.offset, ctx_->nominal_sample_bytes, t0);
   if (p.delivered ? p.done - t0 <= deadline : !std::isfinite(deadline)) {
     clock.advance_to(p.done);
-    if (own_lock) transport_->unlock(target);
+    transport_->unlock(target);
     if (!p.delivered) return Attempt::Failed;
     health_.observe(static_cast<std::size_t>(target), p.done - t0);
     return Attempt::Primary;
   }
-  if (own_lock) transport_->unlock(target);
+  transport_->unlock(target);
 
   // The backup fires when the origin gives up waiting: at the deadline, or
   // earlier if the primary's failure is observed first.
@@ -203,14 +202,11 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     tr->instant(tracing::Category::Hedge, "hedge_fired", b_start, args);
   }
   hedge_scratch_.assign(entry.length, std::byte{0});
-  // Inside a batch lock epoch the caller may already hold the primary's
-  // lock; only take our own when the backup isn't that rank.
-  const bool backup_own_lock = !(locked && backup == primary);
-  if (backup_own_lock) transport_->lock(backup);
+  transport_->lock(backup);
   const RmaTransport::Transfer b = transport_->get(
       MutableByteSpan(hedge_scratch_), backup, entry.offset,
-      ctx_->nominal_sample_bytes, overhead_scale, b_start);
-  if (backup_own_lock) transport_->unlock(backup);
+      ctx_->nominal_sample_bytes, b_start);
+  transport_->unlock(backup);
 
   if (p.delivered && b.delivered) {
     // Both legs answered: replicas must be byte-identical twins — count
@@ -255,8 +251,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
 }
 
 void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
-                            MutableByteSpan dst, bool locked,
-                            double overhead_scale) {
+                            MutableByteSpan dst) {
   FetchMetrics& m = *ctx_->metrics;
   const int owner = static_cast<int>(entry.owner);
   const int primary = ctx_->primary_target(owner);
@@ -280,9 +275,6 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
       // The skip that exhausts the cooldown arms the half-open probe.
       continue;
     }
-    // Inside a batch lock epoch the primary is already locked by the
-    // caller; failover targets always take their own shared lock.
-    const bool own_lock = !(locked && target == primary);
     const int backup = ctx_->config->hedge ? pick_backup(order, target) : -1;
     bool abandon = false;
     for (int attempt = 1; attempt <= kMaxAttempts && !abandon; ++attempt) {
@@ -298,9 +290,7 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
         ctx_->clock().advance(delay);
         ++m.retries;
       }
-      const Attempt got = attempt_once(id, entry, dst, target, backup,
-                                       own_lock, locked, primary,
-                                       overhead_scale);
+      const Attempt got = attempt_once(id, entry, dst, target, backup);
       if (got != Attempt::Failed && payload_intact(entry, ByteSpan(dst))) {
         const int served = got == Attempt::Backup ? backup : target;
         if (got == Attempt::Primary) state_of(target).breaker.on_success();

@@ -49,13 +49,12 @@ class ResilienceStage {
   /// Fetches one sample's bytes with the full policy: retry with backoff
   /// per target, trip circuit breakers, fail over across replica groups
   /// (hedging and steering when armed), and finally fall back to the
-  /// filesystem.  `locked` means the caller already holds a batch-wide
-  /// lock epoch on the sample's primary target; `overhead_scale` discounts
-  /// the per-get software overhead inside such an epoch.  Throws DataError
-  /// if the filesystem copy disagrees with the registry; an injected FS
-  /// read error propagates as IoError.
+  /// filesystem.  Every attempt and every hedged leg takes its own shared
+  /// lock epoch around its one get.  Throws DataError if the filesystem
+  /// copy disagrees with the registry; an injected FS read error
+  /// propagates as IoError.
   void fetch(std::uint64_t id, const DataRegistry::Entry& entry,
-             MutableByteSpan dst, bool locked, double overhead_scale);
+             MutableByteSpan dst);
 
   /// Verify stage helper: true when `dst` matches `entry`'s recorded
   /// checksum (or no checksum is recorded).  Counts a checksum failure
@@ -126,9 +125,7 @@ class ResilienceStage {
   /// On Attempt::Backup the helper has already recorded the backup's
   /// bookkeeping and the primary's failure penalty/breaker strike.
   Attempt attempt_once(std::uint64_t id, const DataRegistry::Entry& entry,
-                       MutableByteSpan dst, int target, int backup,
-                       bool own_lock, bool locked, int primary,
-                       double overhead_scale);
+                       MutableByteSpan dst, int target, int backup);
 
   /// Records one failed attempt at `target`: health penalty plus breaker
   /// strike; returns true when the strike tripped the breaker (counted and

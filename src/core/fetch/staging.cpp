@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/tracing/tracer.hpp"
-#include "core/fetch/transport.hpp"
 
 namespace dds::core::fetch {
 
@@ -21,9 +20,8 @@ std::uint64_t auto_staged_capacity(const FetchContext& ctx) {
 
 }  // namespace
 
-StagingStage::StagingStage(const FetchContext& ctx, RmaTransport& transport)
+StagingStage::StagingStage(const FetchContext& ctx)
     : ctx_(&ctx),
-      transport_(&transport),
       staged_(ctx.config->tiered.staged_set_bytes != 0
                   ? ctx.config->tiered.staged_set_bytes
                   : auto_staged_capacity(ctx)) {}
@@ -92,24 +90,8 @@ ByteBuffer StagingStage::drain(std::uint64_t id) {
 
   ByteBuffer bytes = std::move(it->bytes);
   queue_.erase(it);
-  DDS_CHECK_MSG(promoting_, "promotion outside a lock epoch");
   m.staged_evictions += staged_.insert(id, ByteSpan(bytes));
   return bytes;
-}
-
-void StagingStage::begin_promotion() {
-  DDS_CHECK(!promoting_);
-  // Publication discipline: promoted samples become addressable at a
-  // lock-epoch boundary on this rank's own region, never mid-epoch — the
-  // same shared-lock protocol every other window mutation observes.
-  transport_->lock(ctx_->comm->rank());
-  promoting_ = true;
-}
-
-void StagingStage::end_promotion() {
-  DDS_CHECK(promoting_);
-  transport_->unlock(ctx_->comm->rank());
-  promoting_ = false;
 }
 
 }  // namespace dds::core::fetch

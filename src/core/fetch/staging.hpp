@@ -17,10 +17,9 @@
 // as a caller stall, which is how a real submission ring behaves.
 //
 // Admission: a drained sample is promoted into the rank's *staged set* — a
-// bounded LRU that is part of the hot shard's memory budget — under one
-// shared lock epoch on the rank's own window region per drained batch (the
-// store's existing publication discipline: promoted bytes become visible
-// at a lock-epoch boundary, not mid-epoch).
+// bounded LRU that is part of the hot shard's memory budget.  The staged
+// set is rank-private memory that no peer ever reads through the window,
+// so promotion takes no lock epoch.
 //
 // Byte identity: the data plane serves cold bytes from the owner's
 // exposed region, the same memory every other path reads — tiering only
@@ -37,13 +36,10 @@
 
 namespace dds::core::fetch {
 
-class RmaTransport;
-
 class StagingStage {
  public:
-  /// `transport` issues the promotion lock epochs and must outlive the
-  /// stage; the storage reads are modeled on the context's filesystem.
-  StagingStage(const FetchContext& ctx, RmaTransport& transport);
+  /// The storage reads are modeled on the context's filesystem.
+  explicit StagingStage(const FetchContext& ctx);
 
   /// True when `id` lives outside its owner's hot prefix under the current
   /// layout (re-read through the context on every call, so an elastic
@@ -53,7 +49,7 @@ class StagingStage {
   }
 
   /// Staged-set lookup (promotes recency on a hit).  The pointer stays
-  /// valid until the next promotion.  Counts nothing — the engine accounts
+  /// valid until the next drain.  Counts nothing — the engine accounts
   /// hits so batch and single paths share one bookkeeping site.
   const ByteBuffer* staged_lookup(std::uint64_t id) {
     return staged_.lookup(id);
@@ -72,14 +68,8 @@ class StagingStage {
   /// Drains the in-flight entry for `id`: advances the clock to its
   /// modeled completion (recording how long the consumer actually
   /// blocked), promotes it into the staged set, and returns the bytes.
-  /// `id` must have been enqueued, and the call must sit between
-  /// begin_promotion() and end_promotion().
+  /// `id` must have been enqueued.
   ByteBuffer drain(std::uint64_t id);
-
-  /// Opens/closes the promotion lock epoch around a batch of drains (one
-  /// shared lock on this rank's own window region).
-  void begin_promotion();
-  void end_promotion();
 
   /// The staged set (tests/diagnostics).  Contents survive reset_stats()
   /// exactly like the sample cache: warmth is state, not a statistic.
@@ -97,7 +87,6 @@ class StagingStage {
   };
 
   const FetchContext* ctx_;
-  RmaTransport* transport_;
   /// In-flight reads in enqueue order.  Issue times are serialized against
   /// recent_dones_ so at most staging_depth reads occupy the device at any
   /// modeled instant, however many entries the caller queues.
@@ -105,8 +94,7 @@ class StagingStage {
   /// Completions of the last staging_depth enqueued reads (issue-time
   /// serialization window).
   std::deque<double> recent_dones_;
-  SampleCache staged_;          ///< promoted cold samples (bounded LRU)
-  bool promoting_ = false;
+  SampleCache staged_;  ///< promoted cold samples (bounded LRU)
 };
 
 }  // namespace dds::core::fetch

@@ -18,7 +18,6 @@ void RmaTransport::lock(int target) {
 void RmaTransport::unlock(int target) { ctx_->window->unlock(target); }
 
 RmaTransport::FaultDecision RmaTransport::decide_fault(int target,
-                                                       double overhead_scale,
                                                        double now) {
   FaultDecision d;
   auto& rt = ctx_->comm->runtime();
@@ -32,7 +31,7 @@ RmaTransport::FaultDecision RmaTransport::decide_fault(int target,
   const auto fail = [&] {
     d.fail = true;
     d.fail_done = rt.network().rma_get_time(origin_world, target_world, 64,
-                                            now, overhead_scale);
+                                            now);
     return d;
   };
   // A dead target never answers; a partitioned or lost transfer never
@@ -88,18 +87,17 @@ void RmaTransport::trace(const char* name, int target, std::uint64_t bytes,
 RmaTransport::Transfer RmaTransport::get(MutableByteSpan dst, int target,
                                          std::size_t offset,
                                          std::uint64_t charge_bytes,
-                                         double overhead_scale, double start) {
+                                         double start) {
   ++ctx_->metrics->rma_transfers;
   Transfer out;
-  const FaultDecision d = decide_fault(target, overhead_scale, start);
+  const FaultDecision d = decide_fault(target, start);
   if (d.fail) {
     out.done = d.fail_done;
   } else {
     // Link jitter delays the issue point, so the completion (and queue
     // occupancy) shift by the same amount.
     out.done = ctx_->window->get_at(dst, target, offset,
-                                    start + d.extra_latency_s, charge_bytes,
-                                    overhead_scale);
+                                    start + d.extra_latency_s, charge_bytes);
     out.delivered = true;
     if (d.corrupt) {
       const simmpi::Window::GetSegment seg{offset, dst};
@@ -115,7 +113,7 @@ RmaTransport::Transfer RmaTransport::getv(
     std::uint64_t charge_bytes, double start) {
   ++ctx_->metrics->rma_transfers;
   Transfer out;
-  const FaultDecision d = decide_fault(target, /*overhead_scale=*/1.0, start);
+  const FaultDecision d = decide_fault(target, start);
   if (d.fail) {
     out.done = d.fail_done;
   } else {

@@ -42,7 +42,8 @@ class RmaTransport {
   explicit RmaTransport(const FetchContext& ctx) : ctx_(&ctx) {}
 
   /// Begins a shared-lock epoch on `target` (a comm rank); counted in
-  /// lock_epochs.
+  /// lock_epochs.  Every epoch on the fetch path brackets exactly one
+  /// get or getv, so lock_epochs == rma_transfers.
   void lock(int target);
   void unlock(int target);
 
@@ -55,11 +56,9 @@ class RmaTransport {
   };
 
   /// One get issued at virtual time `start` inside an active lock epoch on
-  /// `target`; counted in rma_transfers.  `overhead_scale` discounts the
-  /// per-get software overhead inside a batch-wide lock epoch.
+  /// `target`; counted in rma_transfers.
   Transfer get(MutableByteSpan dst, int target, std::size_t offset,
-               std::uint64_t charge_bytes, double overhead_scale,
-               double start);
+               std::uint64_t charge_bytes, double start);
 
   /// One vectored get (the Coalesced mode's single transaction per target)
   /// issued at `start` inside an active lock epoch; counted in
@@ -82,7 +81,7 @@ class RmaTransport {
   /// Consults the armed injector (dead targets, link phases, RMA outcome
   /// draw) for a transfer issued at `now`.  Returns a no-fault decision
   /// when injection is off or the transfer is local.
-  FaultDecision decide_fault(int target, double overhead_scale, double now);
+  FaultDecision decide_fault(int target, double now);
 
   /// Flips one byte somewhere in the concatenated payload of `segments`.
   void corrupt(std::span<const simmpi::Window::GetSegment> segments);

@@ -18,9 +18,6 @@ enum class BatchFetchMode {
   /// The paper's Fig. 3 walkthrough: one lock/get/unlock per sample, in
   /// request order.
   PerSample,
-  /// One shared-lock epoch per distinct target; individual gets inside the
-  /// epoch with the lock share of the software overhead amortized.
-  LockPerTarget,
   /// Full planner path: one lock epoch AND one vectored get per distinct
   /// target, with registry-adjacent samples merged into single ranges
   /// (core/fetch_plan.hpp).  A transfer that fails transport or delivers
@@ -79,8 +76,7 @@ struct DDStoreConfig {
   /// keeps giant scaling benches cheap when preload time is excluded.
   bool charge_replica_preload = true;
   /// Batch fetch strategy (see BatchFetchMode): per-sample lock/get/unlock
-  /// (the paper), one lock epoch per target, or fully coalesced vectored
-  /// transfers.
+  /// (the paper) or one coalesced vectored transfer per target.
   BatchFetchMode batch_fetch = BatchFetchMode::PerSample;
   /// Per-rank hot-sample LRU cache capacity in *actual* payload bytes
   /// (0 disables the Cache stage entirely).  Hits are served before any
@@ -132,6 +128,7 @@ struct DDStoreStats {
 
   // Fetch-path traffic counters (every batch mode maintains these, so the
   // lock/coalesce ablations can report exactly what each policy issued).
+  // Every lock epoch brackets exactly one transfer, so the two are equal.
   std::uint64_t lock_epochs = 0;    ///< MPI_Win_lock/unlock pairs taken
   std::uint64_t rma_transfers = 0;  ///< window get/getv calls issued
 

@@ -25,10 +25,6 @@ struct NetworkParams {
   double rma_remote_overhead_s = 380e-6;
   /// Same-node one-sided read (CMA/XPMEM path: no NIC, no rendezvous).
   double rma_intra_overhead_s = 40e-6;
-  /// Share of the RMA software overhead attributable to the
-  /// MPI_Win_lock/unlock pair; amortized away when a batch fetch keeps one
-  /// lock epoch open per target (BatchFetchMode::LockPerTarget/Coalesced).
-  double rma_lock_fraction = 0.4;
   /// Incremental software cost per additional IOV segment of a vectored
   /// one-sided read (datatype/descriptor processing at the origin).  The
   /// base per-transfer overhead is charged once per coalesced get; each

@@ -22,7 +22,7 @@ void NetworkModel::set_service_scale(int rank, double factor) {
 }
 
 double NetworkModel::rma_get_time(int origin, int target, std::uint64_t bytes,
-                                  double start, double overhead_scale) {
+                                  double start) {
   if (origin == target) return local_get_time(bytes, start);
   const auto& p = machine_.net;
   // A straggling target serves every remote read slower: both the per-op
@@ -32,24 +32,22 @@ double NetworkModel::rma_get_time(int origin, int target, std::uint64_t bytes,
   if (same_node(origin, target)) {
     const double duration =
         scale * static_cast<double>(bytes) / p.intra_bandwidth_Bps;
-    const double ready = start +
-                         scale * p.rma_intra_overhead_s * overhead_scale +
-                         p.intra_latency_s;
+    const double ready =
+        start + scale * p.rma_intra_overhead_s + p.intra_latency_s;
     auto& res = fabric_[static_cast<std::size_t>(machine_.node_of_rank(target))];
     return res.acquire(ready, duration);
   }
   const double duration =
       scale * static_cast<double>(bytes) / p.inter_bandwidth_Bps;
-  const double ready = start +
-                       scale * p.rma_remote_overhead_s * overhead_scale +
-                       p.inter_latency_s;
+  const double ready =
+      start + scale * p.rma_remote_overhead_s + p.inter_latency_s;
   auto& res = nic_[static_cast<std::size_t>(machine_.node_of_rank(target))];
   return res.acquire(ready, duration);
 }
 
 double NetworkModel::rma_getv_time(int origin, int target,
                                    std::uint64_t bytes, std::size_t nsegments,
-                                   double start, double overhead_scale) {
+                                   double start) {
   DDS_CHECK(nsegments >= 1);
   const auto& p = machine_.net;
   const double seg_extra =
@@ -65,7 +63,7 @@ double NetworkModel::rma_getv_time(int origin, int target,
     const double duration =
         scale * static_cast<double>(bytes) / p.intra_bandwidth_Bps;
     const double ready =
-        start + scale * (p.rma_intra_overhead_s * overhead_scale + seg_extra) +
+        start + scale * (p.rma_intra_overhead_s + seg_extra) +
         p.intra_latency_s;
     auto& res = fabric_[static_cast<std::size_t>(machine_.node_of_rank(target))];
     return res.acquire(ready, duration);
@@ -73,8 +71,7 @@ double NetworkModel::rma_getv_time(int origin, int target,
   const double duration =
       scale * static_cast<double>(bytes) / p.inter_bandwidth_Bps;
   const double ready =
-      start + scale * (p.rma_remote_overhead_s * overhead_scale + seg_extra) +
-      p.inter_latency_s;
+      start + scale * (p.rma_remote_overhead_s + seg_extra) + p.inter_latency_s;
   auto& res = nic_[static_cast<std::size_t>(machine_.node_of_rank(target))];
   return res.acquire(ready, duration);
 }

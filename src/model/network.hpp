@@ -27,10 +27,8 @@ class NetworkModel {
   /// issued by `origin` at simulated time `start`.  Includes the fixed
   /// lock/get/unlock software overhead, wire latency, bandwidth, and
   /// queueing at the target node's NIC (or NVLink fabric if same-node).
-  /// `overhead_scale` discounts the software overhead when the lock epoch
-  /// is amortized over a batch (see NetworkParams::rma_lock_fraction).
   double rma_get_time(int origin, int target, std::uint64_t bytes,
-                      double start, double overhead_scale = 1.0);
+                      double start);
 
   /// Completion time of a *vectored* one-sided get: `nsegments` disjoint
   /// ranges of `target`'s window, `bytes` in total, moved in one RMA
@@ -40,8 +38,7 @@ class NetworkModel {
   /// (IOV descriptor processing); the wire term sums the bytes (bytes/beta)
   /// and queues at the target NIC exactly like a single large get.
   double rma_getv_time(int origin, int target, std::uint64_t bytes,
-                       std::size_t nsegments, double start,
-                       double overhead_scale = 1.0);
+                       std::size_t nsegments, double start);
 
   /// Completion time of a two-sided request/response fetch (the
   /// message-broker design alternative the paper evaluated and rejected,

@@ -106,14 +106,13 @@ void Window::check_bounds(int target, std::size_t offset,
 }
 
 void Window::get(MutableByteSpan dst, int target, std::size_t offset,
-                 std::uint64_t charge_bytes, double overhead_scale) {
-  comm_.clock().advance_to(get_at(dst, target, offset, comm_.clock().now(),
-                                  charge_bytes, overhead_scale));
+                 std::uint64_t charge_bytes) {
+  comm_.clock().advance_to(
+      get_at(dst, target, offset, comm_.clock().now(), charge_bytes));
 }
 
 double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
-                      double start, std::uint64_t charge_bytes,
-                      double overhead_scale) {
+                      double start, std::uint64_t charge_bytes) {
   const auto t = static_cast<std::size_t>(target);
   DDS_CHECK_MSG(held_.at(t) != HeldLock::None, "get outside a lock epoch");
   check_bounds(target, offset, dst.size());
@@ -123,7 +122,7 @@ double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
   auto& rt = comm_.runtime();
   const double done = rt.network().rma_get_time(
       comm_.world_rank(), comm_.world_rank_of(target),
-      charge_bytes == 0 ? dst.size() : charge_bytes, start, overhead_scale);
+      charge_bytes == 0 ? dst.size() : charge_bytes, start);
   if (tracing::EventTracer* tr = comm_.tracer()) {
     tracing::EventArgs args;
     args.target = comm_.world_rank_of(target);
@@ -134,14 +133,13 @@ double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
 }
 
 void Window::getv(std::span<const GetSegment> segments, int target,
-                  std::uint64_t charge_bytes, double overhead_scale) {
-  comm_.clock().advance_to(getv_at(segments, target, comm_.clock().now(),
-                                   charge_bytes, overhead_scale));
+                  std::uint64_t charge_bytes) {
+  comm_.clock().advance_to(
+      getv_at(segments, target, comm_.clock().now(), charge_bytes));
 }
 
 double Window::getv_at(std::span<const GetSegment> segments, int target,
-                       double start, std::uint64_t charge_bytes,
-                       double overhead_scale) {
+                       double start, std::uint64_t charge_bytes) {
   const auto t = static_cast<std::size_t>(target);
   DDS_CHECK_MSG(held_.at(t) != HeldLock::None, "getv outside a lock epoch");
   DDS_CHECK_MSG(!segments.empty(), "getv with no segments");
@@ -158,8 +156,7 @@ double Window::getv_at(std::span<const GetSegment> segments, int target,
   auto& rt = comm_.runtime();
   const double done = rt.network().rma_getv_time(
       comm_.world_rank(), comm_.world_rank_of(target),
-      charge_bytes == 0 ? total : charge_bytes, segments.size(), start,
-      overhead_scale);
+      charge_bytes == 0 ? total : charge_bytes, segments.size(), start);
   if (tracing::EventTracer* tr = comm_.tracer()) {
     tracing::EventArgs args;
     args.target = comm_.world_rank_of(target);

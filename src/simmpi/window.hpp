@@ -87,10 +87,9 @@ class Window {
   /// `charge_bytes` overrides the transfer size used for *timing* (0 =>
   /// dst.size()): in scaled-down runs DDStore moves small real payloads but
   /// charges the paper-scale nominal sample size, so queueing and bandwidth
-  /// behave as if the full dataset were stored.  `overhead_scale` discounts
-  /// the per-get software overhead when a lock epoch is shared by a batch.
+  /// behave as if the full dataset were stored.
   void get(MutableByteSpan dst, int target, std::size_t offset,
-           std::uint64_t charge_bytes = 0, double overhead_scale = 1.0);
+           std::uint64_t charge_bytes = 0);
 
   /// get() priced as issued at virtual time `start`: moves the bytes now
   /// (same bounds/lock checks) and charges the target's NIC, but RETURNS
@@ -99,8 +98,7 @@ class Window {
   /// min(primary, backup) — the clock is monotonic, so the winner must be
   /// known before any advance.  get() is advance_to(get_at(now)).
   double get_at(MutableByteSpan dst, int target, std::size_t offset,
-                double start, std::uint64_t charge_bytes = 0,
-                double overhead_scale = 1.0);
+                double start, std::uint64_t charge_bytes = 0);
 
   /// One disjoint range of a vectored get (see getv).
   struct GetSegment {
@@ -116,13 +114,12 @@ class Window {
   /// `charge_bytes` overrides the *total* size used for timing (0 => sum of
   /// segment sizes), mirroring get()'s nominal-byte accounting.
   void getv(std::span<const GetSegment> segments, int target,
-            std::uint64_t charge_bytes = 0, double overhead_scale = 1.0);
+            std::uint64_t charge_bytes = 0);
 
   /// getv() priced as issued at virtual time `start`, returning the
   /// completion time instead of advancing the clock (see get_at).
   double getv_at(std::span<const GetSegment> segments, int target,
-                 double start, std::uint64_t charge_bytes = 0,
-                 double overhead_scale = 1.0);
+                 double start, std::uint64_t charge_bytes = 0);
 
   /// Writes src into `target`'s region at `offset` (exclusive lock needed).
   void put(ByteSpan src, int target, std::size_t offset);

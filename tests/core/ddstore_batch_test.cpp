@@ -1,4 +1,4 @@
-// get_batch across the three BatchFetchModes: request order is preserved
+// get_batch across both BatchFetchModes: request order is preserved
 // (duplicates and all), repeated ids are fetched once, empty batches are
 // no-ops, the coalesced planner counters add up, and — with fault injection
 // armed — a failed coalesced transfer degrades to per-sample resilient
@@ -58,8 +58,7 @@ class DDStoreBatchTest : public ::testing::Test {
 
 TEST_F(DDStoreBatchTest, AllModesPreserveRequestOrderWithDuplicates) {
   for (const auto mode :
-       {BatchFetchMode::PerSample, BatchFetchMode::LockPerTarget,
-        BatchFetchMode::Coalesced}) {
+       {BatchFetchMode::PerSample, BatchFetchMode::Coalesced}) {
     simmpi::Runtime rt(4, machine_);
     const auto reader = cff_reader();
     rt.run([&](simmpi::Comm& c) {
@@ -109,29 +108,6 @@ TEST_F(DDStoreBatchTest, CoalescedPlansOneTransferPerTarget) {
     EXPECT_EQ(st.lock_epochs_saved, kSamples - 4u);
     EXPECT_EQ(st.coalesced_fallbacks, 0u);
     EXPECT_EQ(st.coalesced_bytes, st.bytes_fetched);
-    store.fence();
-  });
-}
-
-TEST_F(DDStoreBatchTest, LockPerTargetCountsEpochsAndTransfers) {
-  simmpi::Runtime rt(4, machine_);
-  const auto reader = cff_reader();
-  rt.run([&](simmpi::Comm& c) {
-    auto client = client_for(c);
-    DDStoreConfig cfg;
-    cfg.batch_fetch = BatchFetchMode::LockPerTarget;
-    DDStore store(c, reader, client, cfg);
-
-    std::vector<std::uint64_t> ids(kSamples);
-    for (std::uint64_t i = 0; i < kSamples; ++i) ids[i] = i;
-    const auto batch = store.get_batch(ids);
-    expect_request_order(batch, ids);
-
-    const auto& st = store.stats();
-    // One epoch per distinct target, one plain get per unique sample.
-    EXPECT_EQ(st.lock_epochs, 4u);
-    EXPECT_EQ(st.rma_transfers, kSamples);
-    EXPECT_EQ(st.coalesced_transfers, 0u);
     store.fence();
   });
 }

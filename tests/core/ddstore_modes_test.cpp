@@ -1,5 +1,5 @@
-// Tests for the DDStore design-space knobs: lock amortization, the
-// NVMe-staged backend, and raw vs timed reads.
+// Tests for the DDStore design-space alternatives: the NVMe-staged backend
+// and raw vs timed reads.
 #include <gtest/gtest.h>
 
 #include "datagen/dataset.hpp"
@@ -35,33 +35,6 @@ class ModesTest : public ::testing::Test {
   std::unique_ptr<datagen::SyntheticDataset> ds_;
   std::unique_ptr<formats::CffReader> reader_;
 };
-
-TEST_F(ModesTest, LockPerTargetBatchIsCheaperThanPerSample) {
-  double per_sample = 0, per_target = 0;
-  for (const bool amortize : {false, true}) {
-    simmpi::Runtime rt(4, machine_);
-    rt.run([&](simmpi::Comm& c) {
-      auto client = client_for(c);
-      DDStoreConfig cfg;
-      cfg.batch_fetch = amortize ? BatchFetchMode::LockPerTarget
-                                 : BatchFetchMode::PerSample;
-      DDStore store(c, *reader_, client, cfg);
-      c.barrier();
-      c.clock().reset();
-      std::vector<std::uint64_t> ids;
-      for (std::uint64_t id = 0; id < kSamples; ++id) ids.push_back(id);
-      const auto batch = store.get_batch(ids);
-      for (std::uint64_t id = 0; id < kSamples; ++id) {
-        EXPECT_EQ(batch[id], ds_->make(id));
-      }
-      const double t = c.allreduce(c.clock().now(), simmpi::Op::Max);
-      if (c.rank() == 0) (amortize ? per_target : per_sample) = t;
-    });
-  }
-  EXPECT_LT(per_target, per_sample);
-  // The saving is bounded by the lock fraction of the software overhead.
-  EXPECT_GT(per_target, per_sample * (1.0 - machine_.net.rma_lock_fraction));
-}
 
 TEST_F(ModesTest, NvmeBackendRoundTripAndWarmup) {
   fs::NvmeParams nvme;

@@ -167,24 +167,6 @@ TEST_F(DDStoreTest, GetBatchPreservesRequestOrder) {
   });
 }
 
-TEST_F(DDStoreTest, LockPerTargetBatchMatchesDefault) {
-  simmpi::Runtime rt(4, machine_);
-  const auto reader = cff_reader();
-  rt.run([&](simmpi::Comm& c) {
-    auto client = client_for(c);
-    DDStoreConfig cfg;
-    cfg.batch_fetch = BatchFetchMode::LockPerTarget;
-    DDStore store(c, reader, client, cfg);
-    const std::vector<std::uint64_t> ids = {5, 50, 12, 48, 20, 1};
-    const auto batch = store.get_batch(ids);
-    ASSERT_EQ(batch.size(), ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(batch[i], ds_->make(ids[i]));
-    }
-    EXPECT_EQ(store.stats().latency.count(), ids.size());
-  });
-}
-
 TEST_F(DDStoreTest, RoundRobinPlacementWorks) {
   simmpi::Runtime rt(4, machine_);
   const auto reader = cff_reader();

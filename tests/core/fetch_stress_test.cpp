@@ -2,13 +2,17 @@
 // path — planning, cache churn, coalesced RMA, injected faults, and
 // twin-aliased chunk buffers — with ranks' batches overlapping on the same
 // hot ids.  Validation is byte-level: whatever the interleaving, every rank
-// decodes ground truth.
+// decodes ground truth.  A counter audit checks that every lock epoch the
+// fetch path opens brackets exactly one window transfer, in every
+// configuration.
 #include <gtest/gtest.h>
 
 #include <limits>
 
+#include "common/rng.hpp"
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
+#include "faults/injector.hpp"
 #include "formats/cff.hpp"
 
 namespace dds::core {
@@ -75,6 +79,16 @@ class FetchStressTest : public ::testing::Test {
     }
   }
 
+  /// A cache capacity around a third of the dataset, which keeps the LRU
+  /// churning.
+  static std::uint64_t churn_capacity(const formats::CffReader& reader) {
+    std::uint64_t capacity = 0;
+    for (std::uint64_t id = 0; id < kSamples / 3; ++id) {
+      capacity += reader.read_bytes_raw(id).size();
+    }
+    return capacity;
+  }
+
   model::MachineConfig machine_;
   fs::ParallelFileSystem fs_;
   std::unique_ptr<datagen::SyntheticDataset> ds_;
@@ -87,15 +101,10 @@ TEST_F(FetchStressTest, AllBatchModesConcurrentlyWithCacheAndFaults) {
   fc.rma_corrupt_prob = 0.05;
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, kRanks));
   const auto reader = cff_reader();
-  // A capacity around a third of the dataset keeps the LRU churning.
-  std::uint64_t capacity = 0;
-  for (std::uint64_t id = 0; id < kSamples / 3; ++id) {
-    capacity += reader.read_bytes_raw(id).size();
-  }
+  const std::uint64_t capacity = churn_capacity(reader);
   rt.run([&](simmpi::Comm& c) {
     for (const BatchFetchMode mode :
-         {BatchFetchMode::PerSample, BatchFetchMode::LockPerTarget,
-          BatchFetchMode::Coalesced}) {
+         {BatchFetchMode::PerSample, BatchFetchMode::Coalesced}) {
       DDStoreConfig cfg;
       cfg.width = 2;
       cfg.batch_fetch = mode;
@@ -103,6 +112,68 @@ TEST_F(FetchStressTest, AllBatchModesConcurrentlyWithCacheAndFaults) {
       hammer(c, reader, cfg);
     }
   });
+}
+
+// Every shared-lock epoch on the fetch path brackets exactly one window
+// transfer — per-sample gets, coalesced getvs, retries, failovers and
+// hedged legs alike; cache and staged-set hits and promotions take none.
+TEST_F(FetchStressTest, EveryLockEpochBracketsOneTransfer) {
+  const auto reader = cff_reader();
+  enum class Variant { Plain, Cache, Tiered, HedgeUnderFaults };
+  for (const BatchFetchMode mode :
+       {BatchFetchMode::PerSample, BatchFetchMode::Coalesced}) {
+    for (const Variant variant : {Variant::Plain, Variant::Cache,
+                                  Variant::Tiered, Variant::HedgeUnderFaults}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (mode == BatchFetchMode::PerSample ? "PerSample"
+                                                         : "Coalesced")
+                   << " variant " << static_cast<int>(variant));
+      DDStoreConfig cfg;
+      cfg.width = 4;
+      cfg.batch_fetch = mode;
+      simmpi::Runtime rt(kRanks, machine_);
+      switch (variant) {
+        case Variant::Plain:
+          break;
+        case Variant::Cache:
+          cfg.cache_capacity_bytes = churn_capacity(reader);
+          break;
+        case Variant::Tiered:
+          cfg.tiered.hot_fraction = 0.5;
+          break;
+        case Variant::HedgeUnderFaults: {
+          cfg.hedge = true;
+          faults::FaultConfig fc;
+          fc.rma_fail_prob = 0.1;
+          fc.rma_corrupt_prob = 0.05;
+          fc.links.push_back(faults::LinkPhase{.loss_prob = 0.05,
+                                               .jitter_mean_s = 20e-6});
+          rt.set_fault_injector(
+              std::make_shared<faults::FaultInjector>(fc, kRanks));
+          break;
+        }
+      }
+      rt.run([&](simmpi::Comm& c) {
+        auto client = client_for(c);
+        DDStore store(c, reader, client, cfg);
+        Rng rng = Rng(11).stream(static_cast<std::uint64_t>(c.rank()));
+        for (int step = 0; step < 3; ++step) {
+          const std::vector<std::uint64_t> shuffled = rng.permutation(kSamples);
+          const std::vector<std::uint64_t> ids(shuffled.begin(),
+                                               shuffled.begin() + 16);
+          const auto batch = store.get_batch(ids);
+          ASSERT_EQ(batch.size(), ids.size());
+          for (std::size_t i = 0; i < ids.size(); ++i) {
+            ASSERT_EQ(batch[i], ds_->make(ids[i])) << "rank " << c.rank();
+          }
+        }
+        const auto& st = store.stats();
+        EXPECT_GT(st.rma_transfers, 0u) << "rank " << c.rank();
+        EXPECT_EQ(st.lock_epochs, st.rma_transfers) << "rank " << c.rank();
+        store.fence();
+      });
+    }
+  }
 }
 
 TEST_F(FetchStressTest, TwinAliasedChunksUnderConcurrentCachedReads) {

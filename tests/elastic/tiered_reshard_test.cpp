@@ -3,10 +3,12 @@
 // samples as cold re-staging work, and price that work with the analytic
 // staging-queue model the executor charges — unit-tested here against a
 // hand-computed estimate.  A live reshard sequence over a tiered store must
-// still deliver byte-identical samples afterwards.
+// still deliver byte-identical samples afterwards, and a sample cached
+// while hot stays a cache hit after a reshard makes it cold.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/checksum.hpp"
 #include "datagen/dataset.hpp"
@@ -229,6 +231,42 @@ TEST_F(TieredElasticStoreTest, ReshardSequencePreservesEverySample) {
     EXPECT_EQ(store.stats().reshards, 3u);
     EXPECT_GT(store.stats().reshard_cold_stage_bytes, 0u)
         << "some re-striped hot samples must have been cold before";
+    store.fence();
+  });
+}
+
+// A narrowing reshard can make a cached hot sample cold.  Both read paths
+// then serve it from the cache — the cheaper hit wins until eviction
+// retires it — instead of reading it from the cold tier.
+TEST_F(TieredElasticStoreTest, CachedSampleMadeColdByReshardStillHitsCache) {
+  simmpi::Runtime rt(8, machine_);
+  const auto reader = cff_reader();
+  rt.run([&](simmpi::Comm& c) {
+    auto client = client_for(c);
+    DDStoreConfig cfg;
+    cfg.width = 8;
+    cfg.batch_fetch = core::BatchFetchMode::Coalesced;
+    cfg.cache_capacity_bytes = std::numeric_limits<std::uint64_t>::max();
+    cfg.tiered.hot_fraction = 0.5;
+    DDStore store(c, reader, client, cfg);
+    const core::Layout wide = store.layout();
+    const core::Layout narrow = wide.with_width(2);
+    std::uint64_t id = 0;
+    while (id < kSamples && !(wide.is_hot(id) && !narrow.is_hot(id))) ++id;
+    ASSERT_LT(id, kSamples) << "no sample is hot at width 8 but cold at 2";
+    EXPECT_EQ(store.get(id), ds_->make(id));  // hot: fetched, then cached
+
+    reshard(store, 2);
+    ASSERT_FALSE(store.layout().is_hot(id));
+    const auto before = store.stats();
+    EXPECT_EQ(store.get(id), ds_->make(id));
+    EXPECT_EQ(store.stats().cache_hits, before.cache_hits + 1);
+    const auto batch = store.get_batch(std::vector<std::uint64_t>{id});
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0], ds_->make(id));
+    EXPECT_EQ(store.stats().cache_hits, before.cache_hits + 2);
+    EXPECT_EQ(store.stats().cold_misses, before.cold_misses);
+    EXPECT_EQ(store.stats().staged_hits, before.staged_hits);
     store.fence();
   });
 }

@@ -38,21 +38,5 @@ TEST_F(TwoSidedTest, NegativePollRejected) {
                InternalError);
 }
 
-TEST_F(TwoSidedTest, OverheadScaleDiscountsRmaSoftwareCost) {
-  NetworkModel net(m_, 8);
-  const double full = net.rma_get_time(0, 4, 100, 0.0, 1.0);
-  NetworkModel net2(m_, 8);
-  const double amortized = net2.rma_get_time(0, 4, 100, 0.0, 0.6);
-  EXPECT_NEAR(full - amortized, 0.4 * m_.net.rma_remote_overhead_s, 1e-12);
-}
-
-TEST_F(TwoSidedTest, OverheadScaleAppliesIntraNodeToo) {
-  NetworkModel net(m_, 8);
-  const double full = net.rma_get_time(0, 1, 100, 0.0, 1.0);
-  NetworkModel net2(m_, 8);
-  const double amortized = net2.rma_get_time(0, 1, 100, 0.0, 0.5);
-  EXPECT_NEAR(full - amortized, 0.5 * m_.net.rma_intra_overhead_s, 1e-12);
-}
-
 }  // namespace
 }  // namespace dds::model
