@@ -90,8 +90,7 @@ int main(int argc, char** argv) {
                              /*floor_samples=*/4096);
   sc.ddstore.charge_replica_preload = false;
   sc.ddstore.batch_fetch = core::BatchFetchMode::Coalesced;
-  sc.loader_mode = train::LoaderMode::Prefetching;
-  sc.prefetch_depth = 0;  // serial fetch->compute: cache wins are visible
+  sc.prefetch_depth = 1;  // serial fetch->compute: cache wins are visible
 
   StagedData data(machine, sc.kind, sc.num_samples, nranks,
                   /*with_pff=*/false);

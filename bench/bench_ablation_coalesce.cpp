@@ -1,18 +1,17 @@
 // Ablation: what do coalesced fetch plans and prefetch overlap each buy?
 //
 // Sweeps the batch fetch mode {per-sample, coalesced} against the prefetch
-// depth {0 = strictly serial fetch->compute, 1 = double buffering, 2} and
-// the replication width {1, 2, 4} on 8 Perlmutter ranks, all through the
-// PrefetchingLoader so every cell shares one trainer pipeline.  The
-// planner's traffic counters (lock epochs, RMA transfers, coalesced
-// segments/bytes, lock epochs saved) and the overlap seconds hidden under
-// compute are reported per cell.
+// depth {1 = strictly serial fetch->compute, 2 = double buffering, 3} and
+// the replication width {1, 2, 4} on 8 Perlmutter ranks, every cell on the
+// trainer's one step pipeline.  The planner's traffic counters (lock
+// epochs, RMA transfers, coalesced segments/bytes, lock epochs saved) and
+// the Load seconds hidden under GPU work are reported per cell.
 //
 // Output is a JSON array, one object per (mode, depth, width) cell, so the
 // sweep can be diffed or plotted directly.  `--smoke` shrinks the setup to
 // a seconds-scale CI configuration with the same output shape.  Both runs
 // exit non-zero unless, in every width column, the fastest epoch is a
-// coalesced cell that prefetches (depth >= 1; depths 1 and 2 may tie), and
+// coalesced cell that prefetches (depth >= 2; depths 2 and 3 may tie), and
 // every cell took exactly one lock epoch per RMA transfer.
 #include <algorithm>
 #include <cstdio>
@@ -85,7 +84,7 @@ int main(int argc, char** argv) {
   const int nranks = smoke ? 4 : 8;
   const core::BatchFetchMode modes[] = {core::BatchFetchMode::PerSample,
                                         core::BatchFetchMode::Coalesced};
-  const int depths[] = {0, 1, 2};
+  const int depths[] = {1, 2, 3};
   const int widths[] = {1, 2, 4};
 
   Scenario sc;
@@ -100,7 +99,6 @@ int main(int argc, char** argv) {
             : scaled_samples(nranks, sc.local_batch, /*min_steps=*/4,
                              /*floor_samples=*/4096);
   sc.ddstore.charge_replica_preload = false;
-  sc.loader_mode = train::LoaderMode::Prefetching;
 
   StagedData data(machine, sc.kind, sc.num_samples, nranks,
                   /*with_pff=*/false);
@@ -124,7 +122,7 @@ int main(int argc, char** argv) {
         const auto result = run_training(data, run, BackendKind::DDStore);
         print_cell(first, mode, depth, widths[w], result);
         first = false;
-        double& fastest = mode == core::BatchFetchMode::Coalesced && depth >= 1
+        double& fastest = mode == core::BatchFetchMode::Coalesced && depth >= 2
                               ? best[w].first
                               : best[w].second;
         fastest = std::min(fastest, mean_epoch_seconds(result));
@@ -139,7 +137,7 @@ int main(int argc, char** argv) {
   if (!ok) {
     std::fprintf(stderr,
                  "check failed: each width's fastest epoch must be a "
-                 "coalesced cell with depth >= 1, and every cell's lock "
+                 "coalesced cell with depth >= 2, and every cell's lock "
                  "epochs must equal its RMA transfers\n");
   }
   return ok ? 0 : 1;

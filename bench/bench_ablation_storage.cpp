@@ -72,10 +72,13 @@ int main() {
       train::NvmeStagedBackend backend(data.cff(), client, tier, node);
 
       if (prestage) {
-        // One rank per node pulls the full container onto the device.
+        // One rank per node pulls the full container onto the device.  It
+        // stages through a backend of its own: the tier holds what is
+        // staged, and the trainer's backend then times only training reads.
         if (comm.world_rank() % machine.gpus_per_node == 0) {
+          train::NvmeStagedBackend stager(data.cff(), client, tier, node);
           for (std::uint64_t id = 0; id < data.dataset().size(); ++id) {
-            (void)backend.load(id);
+            (void)stager.load(id);
           }
         }
         const double staging =

@@ -3,10 +3,12 @@
 //
 // Every cell runs under the cooperative fiber scheduler, so the
 // virtual-time model produces bit-identical doubles on repeated runs of the
-// same binary.  The sweep is width {1,2,4}
-// x pipeline {per-sample+Pipelined, coalesced+Prefetching} x cache
-// {off, unbounded} on 8 Perlmutter ranks — 12 cells covering the fetch
-// planner, the prefetch overlap model, and the hot-sample cache — plus
+// same binary.  The sweep is width {1,2,4} x batch fetch {per-sample,
+// coalesced} x cache {off, unbounded} on 8 Perlmutter ranks, every cell
+// running the trainer's one step pipeline at prefetch depth 2 — 12 cells
+// covering the fetch planner, the prefetch overlap, and the hot-sample
+// cache; the "pipeline" field labels them "per-sample" and
+// "coalesced+prefetch" — plus
 // one width-4 cell per off-by-default feature (hedging, a half-cold tier,
 // owner-greedy scheduling, injected faults; the hedge cell adds a late
 // straggler so hedges fire), marked with a "feature" field.  Two more
@@ -68,7 +70,7 @@ const faults::LinkPhase kLossyLinks{-1, -1, 0.01, 20e-6};
 
 struct Cell {
   int width;
-  bool coalesced;   ///< false = per-sample + Pipelined loader
+  bool coalesced;   ///< false = per-sample batch fetch
   bool cache;       ///< true = unbounded per-rank LRU
   Feature feature = Feature::None;
 };
@@ -237,9 +239,6 @@ int main(int argc, char** argv) {
     run.ddstore.batch_fetch = cell.coalesced
                                   ? core::BatchFetchMode::Coalesced
                                   : core::BatchFetchMode::PerSample;
-    run.loader_mode = cell.coalesced ? train::LoaderMode::Prefetching
-                                     : train::LoaderMode::Pipelined;
-    run.prefetch_depth = 2;  // Pipelined cells ignore this knob
     run.ddstore.cache_capacity_bytes =
         cell.cache ? (1ull << 40) : 0;  // unbounded in practice
     switch (cell.feature) {

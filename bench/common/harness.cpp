@@ -182,7 +182,6 @@ RunResult run_training(StagedData& data, const Scenario& scenario,
     train::SimTrainerConfig cfg;
     cfg.input_dim = data.input_dim();
     cfg.output_dim = data.dataset().spec().target_dim;
-    cfg.loader_mode = scenario.loader_mode;
     cfg.prefetch_depth = scenario.prefetch_depth;
     train::SimulatedTrainer trainer(comm, *db, *sampler, scenario.machine,
                                     cfg);

@@ -55,10 +55,8 @@ struct Scenario {
   core::DDStoreConfig ddstore;  ///< width etc. (0 = single replica)
   /// Fault scenario; a default-constructed config arms nothing.
   faults::FaultConfig faults;
-  /// Loader pipeline (Pipelined = per-sample DataLoader; Prefetching =
-  /// whole-batch loads through the fetch planner with depth-bounded
-  /// overlap).  prefetch_depth follows SimTrainerConfig semantics.
-  train::LoaderMode loader_mode = train::LoaderMode::Pipelined;
+  /// Batches the CPU may run ahead of the GPU (>= 1; 1 is serial), as
+  /// SimTrainerConfig::prefetch_depth.
   int prefetch_depth = 2;
   ShuffleKind shuffle = ShuffleKind::Global;
 };

@@ -9,7 +9,7 @@
 // RmaTransport get.  The consumer blocks (advance_to) only when
 // it drains the entry for bytes it needs, so with a deep enough queue the
 // storage latency hides behind hot RMA traffic and — through the
-// prefetching loader's double buffer — training compute.
+// trainer's prefetch depth — training compute.
 //
 // Queue semantics: staging_depth bounds the in-flight reads per rank.  The
 // k-th enqueued read issues at max(enqueue time, completion of the

@@ -17,9 +17,9 @@
 //
 // The plan is pure bookkeeping over the immutable DataRegistry — no window
 // traffic, no clock advancement — so it can run ahead of time (the
-// PrefetchingLoader plans batch k+1 while batch k computes) and is directly
-// property-testable: the union of planned ranges must tile the requested
-// ids' registry extents exactly, with no gaps and no overlaps.
+// trainer's step pipeline loads batch k+1 while the GPU runs batch k) and
+// is directly property-testable: the union of planned ranges must tile the
+// requested ids' registry extents exactly, with no gaps and no overlaps.
 #pragma once
 
 #include <cstdint>

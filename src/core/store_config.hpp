@@ -48,7 +48,7 @@ enum class LocalityMode {
 /// FS).  Cold misses are enqueued into a deep asynchronous staging queue
 /// whose completions are modeled at issue time without advancing any clock
 /// (like every fetch-path transfer), so staging overlaps hot RMA traffic
-/// and — through the prefetching loader's double buffer — training compute.
+/// and — through the trainer's prefetch depth — training compute.
 /// Staged bytes are promoted into the rank's staged set, so re-touches are
 /// served at memory speed.  Off by default (hot_fraction = 1.0): no staging
 /// branch is taken and the tier counters stay zero.

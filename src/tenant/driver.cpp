@@ -2,42 +2,32 @@
 
 #include <algorithm>
 
-#include "graph/batch.hpp"
-
 namespace dds::tenant {
 
 MultiTenantDriver::MultiTenantDriver(simmpi::Comm& comm,
                                      TenantRegistry& tenants,
                                      const model::MachineConfig& machine,
                                      DriverConfig config)
-    : comm_(comm),
-      tenants_(&tenants),
-      compute_(machine),
-      config_(config),
-      grad_bytes_(model::hydragnn_param_bytes(config.input_dim,
-                                              config.output_dim)),
-      arbiter_(config.policy) {
+    : comm_(comm), tenants_(&tenants), arbiter_(config.policy) {
   DDS_CHECK_MSG(tenants.size() > 0, "driver needs at least one tenant");
+  const train::SimTrainerConfig step_config{
+      .input_dim = config.input_dim,
+      .output_dim = config.output_dim,
+      .prefetch_depth = train::StepPipeline::kUnboundedDepth};
+  pipelines_.reserve(tenants.size());
   for (std::size_t k = 0; k < tenants.size(); ++k) {
     TenantContext& t = tenants.at(static_cast<int>(k));
     // Arbiter inputs are rank-identical by construction: admission order,
     // spec weight, and NOMINAL step demand.  Never feed measured values in.
     arbiter_.add_tenant(t.spec().weight, t.step_demand_bytes());
+    pipelines_.emplace_back(comm_, t.backend(), t.sampler(), machine,
+                            step_config);
   }
-}
-
-void MultiTenantDriver::align_cpu_clocks() {
-  auto& clock = comm_.clock();
-  const auto cpu_now = comm_.allgather_untimed(clock.now());
-  double max_cpu = clock.now();
-  for (const double t : cpu_now) max_cpu = std::max(max_cpu, t);
-  clock.advance_to(max_cpu);
 }
 
 std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     std::uint64_t epoch) {
   auto& clock = comm_.clock();
-  auto& net = comm_.runtime().network();
   const int n = static_cast<int>(tenants_->size());
 
   comm_.barrier();
@@ -51,16 +41,11 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
       registry.counter_values();
 
   arbiter_.begin_epoch();
-  std::vector<std::uint64_t> steps(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint64_t> cursor(static_cast<std::size_t>(n), 0);
-  std::vector<double> gpu_free(static_cast<std::size_t>(n), epoch_begin);
-  std::vector<double> completion(static_cast<std::size_t>(n), epoch_begin);
   for (int k = 0; k < n; ++k) {
-    TenantContext& t = tenants_->at(k);
-    t.sampler().begin_epoch(epoch, comm_);
-    t.latencies() = LatencyRecorder{};
-    steps[static_cast<std::size_t>(k)] = t.sampler().steps_per_epoch();
-    arbiter_.set_runnable(k, steps[static_cast<std::size_t>(k)] > 0);
+    train::StepPipeline& p = pipelines_[static_cast<std::size_t>(k)];
+    p.begin_epoch(epoch);
+    tenants_->at(k).latencies() = LatencyRecorder{};
+    arbiter_.set_runnable(k, !p.done());
   }
 
   // Interleaved step loop.  Every rank computes the identical grant
@@ -68,50 +53,13 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
   // step always pair up across ranks.
   while (arbiter_.any_runnable()) {
     const int k = arbiter_.next();
-    std::uint64_t& sk = cursor[static_cast<std::size_t>(k)];
-    TenantContext& t = tenants_->at(k);
-
-    // Cross-rank CPU re-alignment, as in the single-tenant trainer: the
-    // previous step's gradient all-reduce synchronized every rank.
-    align_cpu_clocks();
-
-    // ---- CPU: load + collate through the tenant's mounted backend ----
-    const auto ids = t.sampler().batch_ids(sk);
-    const auto samples = t.backend().load_batch(ids);
-    const auto batch = graph::GraphBatch::collate(samples);
-    const model::BatchShape shape{batch.num_graphs, batch.num_nodes,
-                                  batch.num_edges(), config_.output_dim};
-    const std::uint64_t nominal_batch_payload =
-        t.spec().local_batch * t.backend().nominal_sample_bytes();
-    clock.advance(compute_.batching_time(shape, nominal_batch_payload));
-    const double cpu_done = clock.now();
-
-    // ---- GPU: this tenant's own pipeline (jobs own their accelerators;
-    // they share the store, the serving CPU, and the network) ----
-    const double gpu_start =
-        std::max(gpu_free[static_cast<std::size_t>(k)], cpu_done);
-    const double fb = compute_.forward_backward_time(shape);
-    const double gpu_done = gpu_start + fb;
-
-    // ---- gradient all-reduce across this tenant's replicas ----
-    const auto all_done = comm_.allgather_untimed(gpu_done);
-    double max_done = gpu_done;
-    for (const double d : all_done) max_done = std::max(max_done, d);
-    const double comm_end =
-        net.allreduce_time(comm_.size(), grad_bytes_, max_done);
-    const double t_opt = compute_.optimizer_time(grad_bytes_);
-    gpu_free[static_cast<std::size_t>(k)] = comm_end + t_opt;
-    completion[static_cast<std::size_t>(k)] =
-        gpu_free[static_cast<std::size_t>(k)];
-
-    ++sk;
-    if (sk >= steps[static_cast<std::size_t>(k)]) {
-      arbiter_.set_runnable(k, false);
-    }
+    train::StepPipeline& p = pipelines_[static_cast<std::size_t>(k)];
+    p.step();
+    if (p.done()) arbiter_.set_runnable(k, false);
   }
   // The rank's epoch ends when every tenant's pipeline drains.
-  for (int k = 0; k < n; ++k) {
-    clock.advance_to(completion[static_cast<std::size_t>(k)]);
+  for (const train::StepPipeline& p : pipelines_) {
+    clock.advance_to(p.gpu_free());
   }
 
   // ---- reporting (untimed exchanges: no clock advances, but each one
@@ -139,13 +87,13 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     r.tenant = k;
     r.name = t.spec().name;
     r.epoch = epoch;
-    r.steps = steps[static_cast<std::size_t>(k)];
+    r.steps = t.sampler().steps_per_epoch();
     r.global_samples = r.steps * t.spec().local_batch *
                        static_cast<std::uint64_t>(comm_.size());
 
     // Wall time the tenant experienced: its last step's completion, maxed
     // across ranks (untimed exchange — the clock already drained).
-    double local_done = completion[static_cast<std::size_t>(k)];
+    double local_done = pipelines_[static_cast<std::size_t>(k)].gpu_free();
     for (const double d : comm_.allgather_untimed(local_done)) {
       local_done = std::max(local_done, d);
     }

@@ -3,11 +3,11 @@
 // Each rank steps every admitted tenant's workload as one interleaved
 // fiber timeline: the QosArbiter decides (identically on every rank —
 // see arbiter.hpp's determinism contract) which tenant's step is issued
-// next, the step's data loading runs through the tenant's mounted backend
-// (shared store + cache, per-tenant attribution), and each tenant's GPU
-// pipeline advances on its own timeline — tenant jobs own their
-// accelerators; what they share is the store, the serving CPU, and the
-// network.
+// next.  Each tenant runs the trainer's StepPipeline over its mounted
+// backend (shared store + cache, per-tenant attribution) at unbounded
+// prefetch depth, so its GPU pipeline advances on its own timeline —
+// tenant jobs own their accelerators; what they share is the store, the
+// serving CPU, and the network.
 //
 // Per-epoch, the driver reports per tenant: wall epoch seconds (what the
 // tenant experienced under sharing), throughput, p50/p99 fetch latency
@@ -21,10 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "model/compute.hpp"
 #include "tenant/arbiter.hpp"
 #include "tenant/tenant.hpp"
 #include "train/real_trainer.hpp"
+#include "train/sim_trainer.hpp"
 
 namespace dds::tenant {
 
@@ -83,14 +83,11 @@ class MultiTenantDriver {
   QosArbiter& arbiter() { return arbiter_; }
 
  private:
-  void align_cpu_clocks();
-
   simmpi::Comm comm_;
   TenantRegistry* tenants_;
-  model::ComputeModel compute_;
-  DriverConfig config_;
-  std::uint64_t grad_bytes_;
   QosArbiter arbiter_;
+  /// One step pipeline per tenant, index = tenant id.
+  std::vector<train::StepPipeline> pipelines_;
 };
 
 }  // namespace dds::tenant

@@ -29,8 +29,7 @@ class DataBackend {
   /// within a batch pays the storage path once and copies the decoded
   /// sample for later occurrences, matching the dedupe the DDStore fetch
   /// planner performs.  Backends with a batched fast path override this,
-  /// which is how the batch-fetch modes and the prefetching loader engage
-  /// coalesced transfers.
+  /// which is how DDStoreConfig::batch_fetch engages coalesced transfers.
   virtual std::vector<graph::GraphSample> load_batch(
       std::span<const std::uint64_t> ids) {
     std::vector<graph::GraphSample> out;
@@ -55,11 +54,13 @@ class DataBackend {
   /// Hook called once per rank per epoch (e.g. container reopen costs).
   virtual void epoch_start() {}
 
-  /// The backend's metrics registry, when it keeps one (DDStore does;
-  /// nullptr otherwise).  SimulatedTrainer snapshots the registry's counter
-  /// vector at epoch boundaries and reports summed per-epoch deltas
-  /// generically — a backend that registers a new counter shows up in every
-  /// EpochReport and bench JSON without further plumbing.
+  /// The backend's metrics registry, when it keeps one (nullptr
+  /// otherwise).  Every shipped backend records each sample's load latency
+  /// in its `sample_load_s` recorder, which SimulatedTrainer's
+  /// gather_latencies reads.  SimulatedTrainer also snapshots the
+  /// registry's counter vector at epoch boundaries and reports summed
+  /// per-epoch deltas generically — a backend that registers a new counter
+  /// shows up in every EpochReport and bench JSON without further plumbing.
   virtual const MetricsRegistry* metrics() const { return nullptr; }
 };
 
@@ -72,7 +73,10 @@ class FileBackend final : public DataBackend {
       : reader_(&reader), client_(&client), name_(std::move(name)) {}
 
   graph::GraphSample load(std::uint64_t id) override {
-    return reader_->read(id, *client_);
+    const double t0 = client_->clock().now();
+    graph::GraphSample sample = reader_->read(id, *client_);
+    latency_.add(client_->clock().now() - t0);
+    return sample;
   }
   std::uint64_t num_samples() const override {
     return reader_->num_samples();
@@ -81,11 +85,14 @@ class FileBackend final : public DataBackend {
     return reader_->nominal_sample_bytes();
   }
   std::string name() const override { return name_; }
+  const MetricsRegistry* metrics() const override { return &metrics_; }
 
  private:
   const formats::SampleReader* reader_;
   fs::FsClient* client_;
   std::string name_;
+  MetricsRegistry metrics_;
+  LatencyRecorder& latency_ = metrics_.latency("sample_load_s");
 };
 
 /// File-based loading staged through a node-local NVMe burst buffer: the
@@ -102,6 +109,7 @@ class NvmeStagedBackend final : public DataBackend {
         decode_(decode) {}
 
   graph::GraphSample load(std::uint64_t id) override {
+    const double t0 = client_->clock().now();
     ByteBuffer bytes;
     if (tier_->try_read(node_, id, reader_->nominal_sample_bytes(),
                         client_->clock())) {
@@ -112,7 +120,9 @@ class NvmeStagedBackend final : public DataBackend {
                    client_->clock());
     }
     decode_.charge(client_->clock(), reader_->nominal_sample_bytes());
-    return graph::GraphSample::deserialize(bytes);
+    graph::GraphSample sample = graph::GraphSample::deserialize(bytes);
+    latency_.add(client_->clock().now() - t0);
+    return sample;
   }
   std::uint64_t num_samples() const override {
     return reader_->num_samples();
@@ -121,6 +131,7 @@ class NvmeStagedBackend final : public DataBackend {
     return reader_->nominal_sample_bytes();
   }
   std::string name() const override { return "NVMe+CFF"; }
+  const MetricsRegistry* metrics() const override { return &metrics_; }
 
  private:
   const formats::SampleReader* reader_;
@@ -128,6 +139,8 @@ class NvmeStagedBackend final : public DataBackend {
   fs::NvmeTier* tier_;
   int node_;
   formats::DecodeCost decode_;
+  MetricsRegistry metrics_;
+  LatencyRecorder& latency_ = metrics_.latency("sample_load_s");
 };
 
 /// DDStore-backed loading: all accesses are in-memory RMA transactions.

@@ -9,9 +9,13 @@
 // pipelining the paper describes (§2.2) — so end-to-end time is
 // max(CPU pipeline, GPU pipeline), and a loader slower than compute shows
 // up as GPU-Comm stall, exactly the effect discussed around Fig. 5.
+// StepPipeline is that step; SimulatedTrainer and every tenant of
+// MultiTenantDriver run it.
 #pragma once
 
+#include <deque>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,26 +25,19 @@
 
 namespace dds::train {
 
-/// Which data-loading pipeline the trainer drives.
-enum class LoaderMode {
-  /// Per-sample DataLoader with GPU-timeline pipelining: the CPU loads
-  /// batch s+1 while the GPU runs batch s, bounded by prefetch_depth
-  /// back-pressure (PyTorch DataLoader semantics, §2.2).
-  Pipelined,
-  /// PrefetchingLoader: whole batches through DataBackend::load_batch
-  /// (engaging DDStore's coalesced fetch planner), double-buffered so the
-  /// fetch of batch k+1 hides under the compute window of batch k.
-  Prefetching,
-};
+/// Inert: every value runs the same StepPipeline, and
+/// DDStoreConfig::batch_fetch alone picks per-sample or coalesced reads.
+/// Kept only because perfbench's workloads still assign it.
+enum class LoaderMode { Pipelined, Prefetching };
 
 struct SimTrainerConfig {
   std::uint64_t input_dim = 6;
   /// Nominal head width (paper-scale; e.g. 37,500 for AISD-Ex smooth even
   /// when the materialized target is smaller).
   std::uint64_t output_dim = 1;
-  LoaderMode loader_mode = LoaderMode::Pipelined;
-  /// Pipelined: batches the CPU may run ahead of the GPU (>= 1).
-  /// Prefetching: batches the loader stages ahead (0 = serial baseline).
+  LoaderMode loader_mode = LoaderMode::Pipelined;  ///< inert, see LoaderMode
+  /// Batches the CPU may run ahead of the GPU (>= 1).  1 is serial: the
+  /// CPU loads batch s only once the GPU has finished batch s - 1.
   int prefetch_depth = 2;
 };
 
@@ -62,8 +59,8 @@ struct EpochReport {
   /// Every backend counter's epoch delta, summed across ranks (empty when
   /// the backend keeps no registry).
   std::vector<MetricSample> metrics;
-  /// Fetch seconds hidden under compute by the prefetching loader, summed
-  /// across ranks (0 in Pipelined mode).
+  /// Load seconds that ran while the GPU was still busy with earlier
+  /// steps, summed over steps and ranks (0 at prefetch_depth 1).
   double overlap_hidden_s = 0;
 
   /// Summed epoch delta of a named counter; 0 when the backend never
@@ -76,6 +73,51 @@ struct EpochReport {
   }
 };
 
+/// One rank's simulated DDP step loop.  Each step: the CPU waits until
+/// the GPU has finished batch s - prefetch_depth, loads batch s with one
+/// DataBackend::load_batch call and collates it; the GPU starts
+/// forward/backward once it is free and the batch is ready; the gradient
+/// all-reduce starts when the slowest rank's GPU is done; the optimizer
+/// follows.  The GPU runs on its own timeline, so up to prefetch_depth
+/// batches of CPU work overlap it.
+class StepPipeline {
+ public:
+  /// A depth no epoch reaches: the CPU never waits for the GPU.
+  static constexpr int kUnboundedDepth = std::numeric_limits<int>::max();
+
+  StepPipeline(simmpi::Comm& comm, DataBackend& backend, Sampler& sampler,
+               const model::MachineConfig& machine,
+               const SimTrainerConfig& config);
+
+  /// Collective: starts `epoch` with the GPU idle at the current clock.
+  void begin_epoch(std::uint64_t epoch);
+  /// Whether every step of the epoch has run.
+  bool done() const { return loader_.done(); }
+  /// Collective: runs the epoch's next step.
+  void step();
+
+  /// When this rank's GPU finishes every step run so far.
+  double gpu_free() const { return gpu_free_; }
+  /// This epoch's Load seconds that ran while the GPU was busy: each step
+  /// adds max(0, min(load_end, gpu_free) - load_start).
+  double overlap_hidden_s() const { return hidden_; }
+  /// Phase seconds of every step so far, across epochs.
+  const PhaseProfile& profile() const { return profile_; }
+
+ private:
+  simmpi::Comm comm_;
+  DataLoader loader_;
+  model::ComputeModel compute_;
+  std::uint64_t output_dim_;
+  std::uint64_t grad_bytes_;
+  std::size_t depth_;
+  double gpu_free_ = 0;
+  /// GPU-free times of this epoch's steps not yet waited on.
+  std::deque<double> gpu_done_history_;
+  double hidden_ = 0;
+  PhaseProfile profile_;
+};
+
 class SimulatedTrainer {
  public:
   SimulatedTrainer(simmpi::Comm& comm, DataBackend& backend, Sampler& sampler,
@@ -85,23 +127,9 @@ class SimulatedTrainer {
   /// Collective: runs one epoch; every rank returns the same report.
   EpochReport run_epoch(std::uint64_t epoch);
 
-  /// Per-sample loading latencies recorded on this rank so far.
-  const LatencyRecorder& sample_latencies() const {
-    return ploader_ ? ploader_->latencies() : loader_.latencies();
-  }
-  void reset_latencies() {
-    if (ploader_) {
-      ploader_->reset_latencies();
-    } else {
-      loader_.reset_latencies();
-    }
-  }
-
-  /// Collective: concatenates every rank's latencies on rank 0.
+  /// Collective: concatenates on rank 0 every rank's per-sample load
+  /// latencies, as the backend recorded them (its `sample_load_s`).
   LatencyRecorder gather_latencies();
-
-  std::uint64_t gradient_bytes() const { return grad_bytes_; }
-  const PhaseProfile& local_profile() const { return profile_; }
 
   /// Optional epoch-boundary hook, invoked (on every rank, with the
   /// rank-identical report) after each run_epoch finishes and before it
@@ -113,19 +141,10 @@ class SimulatedTrainer {
   }
 
  private:
-  void run_steps_pipelined();
-  void run_steps_prefetching();
-
   simmpi::Comm comm_;
   DataBackend* backend_;
   Sampler* sampler_;
-  model::ComputeModel compute_;
-  SimTrainerConfig config_;
-  DataLoader loader_;
-  /// Engaged instead of loader_ when loader_mode == Prefetching.
-  std::optional<PrefetchingLoader> ploader_;
-  std::uint64_t grad_bytes_;
-  PhaseProfile profile_;   ///< cumulative across epochs (this rank)
+  StepPipeline pipeline_;
   EpochEndHook epoch_end_hook_;
 };
 

@@ -11,7 +11,10 @@
 //     traffic flows through tenants;
 //   * one greedy tenant cannot starve another: the victim's wait is capped
 //     by the starvation bound and its p99 fetch latency stays within a
-//     small factor of its solo p99.
+//     small factor of its solo p99;
+//   * a tenant runs the trainer's own step: one tenant under the driver
+//     models its epoch bit for bit as a SimulatedTrainer does over the
+//     same mounted backend.
 #include "tenant/driver.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "simmpi/runtime.hpp"
+#include "train/sim_trainer.hpp"
 
 namespace dds::tenant {
 namespace {
@@ -169,6 +173,49 @@ TEST_F(MultiTenantTest, LabeledCountersPartitionGlobalTraffic) {
       EXPECT_EQ(attributed, recorded->count());
     });
   }
+}
+
+TEST_F(MultiTenantTest, OneTenantDriverMatchesSimulatedTrainerBitForBit) {
+  // Tenants run the trainer's own step: one tenant under the driver and a
+  // SimulatedTrainer over the same mounted backend, both at unbounded
+  // prefetch depth over a coalescing store, model the same epoch.
+  TenantSpec spec;
+  spec.name = "solo";
+  spec.local_batch = 8;
+  spec.seed = 22;
+  const auto reader = cff_reader();
+  const auto run = [&](bool through_driver) {
+    fs_.reset_time_state();
+    simmpi::Runtime rt(kRanks, machine_, /*seed=*/42);
+    double seconds = 0;
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      core::DDStoreConfig cfg = store_config();
+      cfg.batch_fetch = core::BatchFetchMode::Coalesced;
+      core::DDStore store(c, reader, client, cfg);
+      TenantRegistry reg(store);
+      TenantContext& t = reg.admit(spec);
+      const DriverConfig dcfg;
+      double mine = 0;
+      if (through_driver) {
+        MultiTenantDriver driver(c, reg, machine_, dcfg);
+        mine = driver.run_epoch(0).front().epoch_seconds;
+      } else {
+        train::SimTrainerConfig tcfg;
+        tcfg.input_dim = dcfg.input_dim;
+        tcfg.output_dim = dcfg.output_dim;
+        tcfg.prefetch_depth = train::StepPipeline::kUnboundedDepth;
+        train::SimulatedTrainer trainer(c, t.backend(), t.sampler(), machine_,
+                                        tcfg);
+        mine = trainer.run_epoch(0).epoch_seconds;
+      }
+      if (c.rank() == 0) seconds = mine;
+    });
+    return seconds;
+  };
+  const double driven = run(true);
+  EXPECT_GT(driven, 0.0);
+  EXPECT_EQ(driven, run(false));
 }
 
 TEST_F(MultiTenantTest, RealLossCurvesBitIdenticalSoloVsInterleaved) {

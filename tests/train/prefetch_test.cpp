@@ -1,7 +1,6 @@
-// PrefetchingLoader: double-buffered overlap of batch fetch and compute.
-// Checks the overlap cost model (max + rho * min), the depth knob, the
-// hidden-seconds accounting, and the SimulatedTrainer integration
-// (Prefetching mode beats the serial baseline and reports planner traffic).
+// The trainer's step pipeline: prefetch depth, the Load seconds it hides
+// under GPU work, and the coalesced fetch planner under the trainer
+// (coalesced reads with prefetch beat the per-sample serial baseline).
 #include <gtest/gtest.h>
 
 
@@ -16,6 +15,7 @@ using datagen::DatasetKind;
 using model::test_machine;
 
 constexpr std::uint64_t kSamples = 128;
+constexpr int kRanks = 4;
 
 class PrefetchTest : public ::testing::Test {
  protected:
@@ -36,41 +36,28 @@ class PrefetchTest : public ::testing::Test {
                               ds_->spec().nominal_cff_sample_bytes());
   }
 
-  /// Runs one epoch of next()/compute_window(C) through a DDStore backend
-  /// and returns rank 0's (epoch seconds, hidden seconds).
-  std::pair<double, double> run_loader_epoch(int depth, double rho,
-                                             double compute_s) {
-    double elapsed = 0, hidden = 0;
-    simmpi::Runtime rt(2, machine_);
+  /// One epoch through a DDStore backend on kRanks ranks; returns the
+  /// rank-identical report.
+  EpochReport run_epoch(core::BatchFetchMode mode, int depth) {
+    EpochReport out;
+    simmpi::Runtime rt(kRanks, machine_);
     const auto r = reader();
     rt.run([&](simmpi::Comm& c) {
       auto client = client_for(c);
-      core::DDStoreConfig cfg;
-      cfg.batch_fetch = core::BatchFetchMode::Coalesced;
-      core::DDStore store(c, r, client, cfg);
+      core::DDStoreConfig scfg;
+      scfg.batch_fetch = mode;
+      core::DDStore store(c, r, client, scfg);
       DDStoreBackend backend(store);
-      GlobalShuffleSampler sampler(kSamples, 8, 1);
-      PrefetchingLoader loader(backend, sampler, c.clock(),
-                               PrefetchConfig{depth, rho});
-      c.barrier();
-      c.clock().reset();
-      const double t0 = c.clock().now();
-      loader.begin_epoch(0, c);
-      std::uint64_t batches = 0;
-      while (const auto batch = loader.next()) {
-        EXPECT_EQ(batch->num_graphs, 8u);
-        loader.compute_window(compute_s);
-        ++batches;
-      }
-      EXPECT_EQ(batches, loader.steps_per_epoch());
-      EXPECT_EQ(loader.latencies().count(), batches * 8);
-      const double t = c.allreduce(c.clock().now() - t0, simmpi::Op::Max);
-      if (c.rank() == 0) {
-        elapsed = t;
-        hidden = loader.overlap_hidden_seconds();
-      }
+      GlobalShuffleSampler sampler(kSamples, 4, 2);
+      SimTrainerConfig cfg;
+      cfg.input_dim = 2;
+      cfg.output_dim = 1;
+      cfg.prefetch_depth = depth;
+      SimulatedTrainer trainer(c, backend, sampler, machine_, cfg);
+      const auto report = trainer.run_epoch(0);
+      if (c.rank() == 0) out = report;
     });
-    return {elapsed, hidden};
+    return out;
   }
 
   model::MachineConfig machine_;
@@ -78,52 +65,8 @@ class PrefetchTest : public ::testing::Test {
   std::unique_ptr<datagen::SyntheticDataset> ds_;
 };
 
-TEST_F(PrefetchTest, DepthOneHidesFetchUnderCompute) {
-  // A compute window comfortably longer than one batch fetch: with depth 1
-  // every fetch after the first should hide, so the epoch approaches
-  // steps * C, while depth 0 pays steps * (F + C).
-  const double compute_s = 5e-3;
-  const auto [serial, hidden0] = run_loader_epoch(0, 0.0, compute_s);
-  const auto [overlapped, hidden1] = run_loader_epoch(1, 0.0, compute_s);
-  EXPECT_LT(overlapped, serial);
-  EXPECT_EQ(hidden0, 0.0);
-  EXPECT_GT(hidden1, 0.0);
-  // The saving visible in the epoch time matches the hidden accounting to
-  // within the cross-rank allreduce of the max.
-  EXPECT_GT(serial - overlapped, 0.5 * hidden1);
-}
-
-TEST_F(PrefetchTest, FullNonOverlapFractionDisablesHiding) {
-  // rho = 1: max(F, C) + min(F, C) = F + C — nothing hides, the "overlap"
-  // epoch costs the same as the serial one.
-  const double compute_s = 2e-3;
-  const auto [serial, h0] = run_loader_epoch(0, 1.0, compute_s);
-  const auto [overlapped, h1] = run_loader_epoch(1, 1.0, compute_s);
-  EXPECT_EQ(h0, 0.0);
-  EXPECT_EQ(h1, 0.0);
-  // Queueing at shared NICs is sensitive to issue times, which differ
-  // slightly between the two schedules; allow that jitter but nothing more.
-  EXPECT_NEAR(overlapped, serial, serial * 1e-3);
-}
-
-TEST_F(PrefetchTest, DeeperBufferStillBeatsSerial) {
-  // Depth 2 refills greedily: the fetch that crosses the end of a compute
-  // window overshoots it, and the overshoot is paid serially, so depth 2
-  // may hide slightly less than depth 1. It must still hide real time and
-  // still beat the serial baseline.
-  const double compute_s = 3e-3;
-  const auto [d0, h0] = run_loader_epoch(0, 0.05, compute_s);
-  const auto [d1, h1] = run_loader_epoch(1, 0.05, compute_s);
-  const auto [d2, h2] = run_loader_epoch(2, 0.05, compute_s);
-  EXPECT_EQ(h0, 0.0);
-  EXPECT_LT(d1, d0);
-  EXPECT_GT(h1, 0.0);
-  EXPECT_LT(d2, d0);
-  EXPECT_GT(h2, 0.0);
-}
-
-TEST_F(PrefetchTest, SimulatedTrainerPrefetchingModeReportsOverlap) {
-  simmpi::Runtime rt(4, machine_);
+TEST_F(PrefetchTest, CoalescedPipelineReportsOverlapAndPlannerTraffic) {
+  simmpi::Runtime rt(kRanks, machine_);
   const auto r = reader();
   rt.run([&](simmpi::Comm& c) {
     auto client = client_for(c);
@@ -135,8 +78,7 @@ TEST_F(PrefetchTest, SimulatedTrainerPrefetchingModeReportsOverlap) {
     SimTrainerConfig cfg;
     cfg.input_dim = 2;
     cfg.output_dim = 1;
-    cfg.loader_mode = LoaderMode::Prefetching;
-    cfg.prefetch_depth = 1;
+    cfg.prefetch_depth = 2;
     SimulatedTrainer trainer(c, backend, sampler, machine_, cfg);
     const auto report = trainer.run_epoch(0);
     EXPECT_EQ(report.global_samples, kSamples / (4 * 4) * 16);
@@ -150,41 +92,44 @@ TEST_F(PrefetchTest, SimulatedTrainerPrefetchingModeReportsOverlap) {
     EXPECT_EQ(report.metric("rma_transfers"),
               report.metric("coalesced_transfers"));
     EXPECT_EQ(report.metric("coalesced_fallbacks"), 0u);
-    // Sample latencies were recorded through the prefetching loader.
-    EXPECT_EQ(trainer.sample_latencies().count(),
-              sampler.steps_per_epoch() * 4);
+    // The store recorded one load latency per sample it served.
+    const LatencyRecorder* lat =
+        backend.metrics()->find_latency("sample_load_s");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->count(), sampler.steps_per_epoch() * 4);
     // All ranks agree on the report.
     const auto t = c.allgather(report.epoch_seconds);
     for (const double v : t) EXPECT_DOUBLE_EQ(v, report.epoch_seconds);
   });
 }
 
-TEST_F(PrefetchTest, PrefetchingBeatsSerialBaselineEndToEnd) {
-  // The tentpole claim at test scale, through the full trainer: coalesced
-  // fetches + depth-1 prefetch strictly beat the per-sample serial path.
-  double serial = 0, prefetched = 0;
-  const auto r = reader();
-  for (const bool prefetch : {false, true}) {
-    simmpi::Runtime rt(4, machine_);
-    rt.run([&](simmpi::Comm& c) {
-      auto client = client_for(c);
-      core::DDStoreConfig scfg;
-      scfg.batch_fetch = prefetch ? core::BatchFetchMode::Coalesced
-                                  : core::BatchFetchMode::PerSample;
-      core::DDStore store(c, r, client, scfg);
-      DDStoreBackend backend(store);
-      GlobalShuffleSampler sampler(kSamples, 4, 2);
-      SimTrainerConfig cfg;
-      cfg.input_dim = 2;
-      cfg.output_dim = 1;
-      cfg.loader_mode = LoaderMode::Prefetching;
-      cfg.prefetch_depth = prefetch ? 1 : 0;
-      SimulatedTrainer trainer(c, backend, sampler, machine_, cfg);
-      const auto report = trainer.run_epoch(0);
-      if (c.rank() == 0) (prefetch ? prefetched : serial) = report.epoch_seconds;
-    });
+TEST_F(PrefetchTest, PerSampleOverlapIsZeroWhenSerialAndBoundedByLoad) {
+  // Depth 1 loads batch s only after the GPU finished batch s - 1, so no
+  // Load second can hide; depth 2 loads under the GPU's previous step, and
+  // a step can hide at most its own Load seconds.
+  const auto serial = run_epoch(core::BatchFetchMode::PerSample, 1);
+  const auto overlapped = run_epoch(core::BatchFetchMode::PerSample, 2);
+  EXPECT_EQ(serial.overlap_hidden_s, 0.0);
+  EXPECT_GT(overlapped.overlap_hidden_s, 0.0);
+  const double load_s = overlapped.mean_profile.get(Phase::Load) * kRanks;
+  EXPECT_LE(overlapped.overlap_hidden_s, load_s * (1 + 1e-12));
+  EXPECT_LT(overlapped.epoch_seconds, serial.epoch_seconds);
+  // Depth moves when a sample is read, never which samples or how.
+  ASSERT_EQ(serial.metrics.size(), overlapped.metrics.size());
+  for (std::size_t i = 0; i < serial.metrics.size(); ++i) {
+    EXPECT_EQ(serial.metrics[i].name, overlapped.metrics[i].name);
+    EXPECT_EQ(serial.metrics[i].value, overlapped.metrics[i].value)
+        << serial.metrics[i].name;
   }
-  EXPECT_LT(prefetched, serial);
+  EXPECT_GT(serial.metric("rma_transfers"), 0u);
+}
+
+TEST_F(PrefetchTest, CoalescedPrefetchBeatsSerialPerSampleEndToEnd) {
+  // The tentpole claim at test scale, through the full trainer: coalesced
+  // fetches at depth 2 strictly beat the per-sample serial path (depth 1).
+  const auto serial = run_epoch(core::BatchFetchMode::PerSample, 1);
+  const auto prefetched = run_epoch(core::BatchFetchMode::Coalesced, 2);
+  EXPECT_LT(prefetched.epoch_seconds, serial.epoch_seconds);
 }
 
 }  // namespace

@@ -54,7 +54,11 @@ TEST_F(TrainTest, DataLoaderYieldsAllBatchesThenEnds) {
       ++batches;
     }
     EXPECT_EQ(batches, kSamples / (8 * 2));
-    EXPECT_EQ(loader.latencies().count(), batches * 8);
+    // The backend that read each sample recorded its latency.
+    const LatencyRecorder* lat =
+        backend.metrics()->find_latency("sample_load_s");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->count(), batches * 8);
   });
 }
 
