@@ -1,9 +1,11 @@
 // Fig. 9: per-function duration breakdown of DDStore training at the same
 // settings as Fig. 8 (fixed local batch 128, AISD-Ex discrete).
 //
-// For each scale, the mean per-rank seconds per epoch of every training
-// phase — showing which functions stay flat (per-step work) and which
-// shrink as the fixed-size dataset spreads over more GPUs.
+// For each scale, the mean per-rank seconds per training step of every
+// phase, and the epoch's seconds per step — showing which functions stay
+// flat (per-step work) and which grow with the GPU count.  Per step, not
+// per epoch: the dataset floor in scaled_samples gives the smallest
+// Perlmutter row twice the steps of every other row.
 #include <cstdio>
 
 #include "common/harness.hpp"
@@ -14,11 +16,11 @@ using namespace dds::bench;
 namespace {
 
 void run_machine(const model::MachineConfig& machine) {
-  std::printf("\n# Fig. 9 (%s, AISD-Ex discrete, DDStore): per-epoch phase "
-              "durations [s/rank]\n",
+  std::printf("\n# Fig. 9 (%s, AISD-Ex discrete, DDStore): per-step phase "
+              "durations [s/step/rank]\n",
               machine.name.c_str());
   print_row({"nodes", "gpus", "CPU-Loading", "CPU-Batching", "GPU-Forward",
-             "GPU-Backward", "GPU-Comm", "GPU-Optimizer", "epoch"});
+             "GPU-Backward", "GPU-Comm", "GPU-Optimizer", "step"});
   for (int nodes = 8; nodes <= 256; nodes *= 2) {
     const int nranks = nodes * machine.gpus_per_node;
     Scenario sc;
@@ -35,12 +37,18 @@ void run_machine(const model::MachineConfig& machine) {
     const auto result = run_training(data, sc, BackendKind::DDStore);
     const auto& rep = result.epochs.back();
     const auto& p = rep.mean_profile;
+    const double steps = static_cast<double>(
+        rep.global_samples /
+        (static_cast<std::uint64_t>(nranks) * sc.local_batch));
+    const auto per_step = [steps](double s) { return fmt(s / steps, 4); };
     using train::Phase;
     print_row({std::to_string(nodes), std::to_string(nranks),
-               fmt(p.get(Phase::Load)), fmt(p.get(Phase::Batch)),
-               fmt(p.get(Phase::Forward)), fmt(p.get(Phase::Backward)),
-               fmt(p.get(Phase::GradComm)), fmt(p.get(Phase::Optimizer)),
-               fmt(rep.epoch_seconds)});
+               per_step(p.get(Phase::Load)), per_step(p.get(Phase::Batch)),
+               per_step(p.get(Phase::Forward)),
+               per_step(p.get(Phase::Backward)),
+               per_step(p.get(Phase::GradComm)),
+               per_step(p.get(Phase::Optimizer)),
+               per_step(rep.epoch_seconds)});
   }
 }
 
