@@ -48,7 +48,6 @@ class DataLoader {
     return graph::GraphBatch::collate(samples);
   }
 
-  std::uint64_t steps_per_epoch() const { return sampler_->steps_per_epoch(); }
   /// Nominal payload of one batch (local batch x nominal sample bytes).
   std::uint64_t nominal_batch_bytes() const {
     return sampler_->local_batch() * backend_->nominal_sample_bytes();

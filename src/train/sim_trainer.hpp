@@ -78,8 +78,8 @@ struct EpochReport {
 /// DataBackend::load_batch call and collates it; the GPU starts
 /// forward/backward once it is free and the batch is ready; the gradient
 /// all-reduce starts when the slowest rank's GPU is done; the optimizer
-/// follows.  The GPU runs on its own timeline, so up to prefetch_depth
-/// batches of CPU work overlap it.
+/// follows.  The GPU keeps its own timeline, so the CPU's work on batch s
+/// overlaps the GPU's work on up to prefetch_depth - 1 earlier batches.
 class StepPipeline {
  public:
   /// A depth no epoch reaches: the CPU never waits for the GPU.
