@@ -18,6 +18,13 @@
 //
 // Output is a JSON array, one object per (width, rate) cell, so the sweep
 // can be diffed or plotted directly.
+//
+// The run checks itself and exits non-zero unless width-1 cells see no
+// retries, failovers or checksum failures; every faulted cell at width
+// >= 2 catches at least one corrupted payload and serves no degraded
+// read; and elastic_rebuild pays fault traffic in exactly one epoch while
+// static_degraded pays it in every epoch.  Verdicts go to stderr, so
+// stdout stays plain JSON.
 #include <cstdio>
 
 #include "common/harness.hpp"
@@ -28,6 +35,8 @@ using namespace dds;
 using namespace dds::bench;
 
 namespace {
+
+constexpr int kRecoveryEpochs = 4;
 
 void print_cell(bool first, int width, int replicas, double rate,
                 const RunResult& result) {
@@ -48,16 +57,16 @@ void print_cell(bool first, int width, int replicas, double rate,
       total("degraded_reads"));
 }
 
-/// One dead-rank recovery cell: drains `epochs` full-dataset epochs at
-/// width 4 with rank 2 dead from the start, either leaving the store
-/// degraded (`rebuild` false) or mounting an ElasticDriver that rebuilds
-/// the chunk from the twin group at the first epoch boundary.  Prints the
-/// per-epoch fault-traffic counters (summed across ranks) and the number
-/// of epochs that still paid fault traffic.
-void elastic_recovery_cell(StagedData& data,
-                           const model::MachineConfig& machine, int nranks,
-                           bool rebuild) {
-  const int epochs = 4;
+/// One dead-rank recovery cell: drains kRecoveryEpochs full-dataset
+/// epochs at width 4 with rank 2 dead from the start, either leaving the
+/// store degraded (`rebuild` false) or mounting an ElasticDriver that
+/// rebuilds the chunk from the twin group at the first epoch boundary.
+/// Prints the per-epoch fault-traffic counters (summed across ranks) and
+/// the number of epochs that still paid fault traffic, and returns that
+/// number.
+int elastic_recovery_cell(StagedData& data,
+                          const model::MachineConfig& machine, int nranks,
+                          bool rebuild) {
   data.fs().reset_time_state();
   simmpi::Runtime rt(nranks, machine, /*seed=*/42);
   faults::FaultConfig fc;
@@ -84,7 +93,7 @@ void elastic_recovery_cell(StagedData& data,
                                         /*local_batch=*/32, /*seed=*/42);
     c.clock().reset();
     std::uint64_t prev = 0;
-    for (int e = 0; e < epochs; ++e) {
+    for (int e = 0; e < kRecoveryEpochs; ++e) {
       sampler.begin_epoch(static_cast<std::uint64_t>(e), c);
       const double t0 = c.clock().now();
       for (std::uint64_t step = 0; step < sampler.steps_per_epoch(); ++step) {
@@ -124,6 +133,12 @@ void elastic_recovery_cell(StagedData& data,
                 static_cast<unsigned long long>(fault_traffic[i]));
   }
   std::printf("]}");
+  return paying;
+}
+
+bool report(const char* check, bool ok) {
+  std::fprintf(stderr, "check: %s: %s\n", check, ok ? "PASS" : "FAIL");
+  return ok;
 }
 
 }  // namespace
@@ -147,6 +162,8 @@ int main() {
   StagedData data(machine, sc.kind, sc.num_samples, nranks,
                   /*with_pff=*/false);
 
+  bool width1_clean = true;
+  bool faulted_cells_caught = true;
   std::printf("[\n");
   bool first = true;
   for (const int width : widths) {
@@ -167,14 +184,37 @@ int main() {
       const auto result = run_training(data, run, BackendKind::DDStore);
       print_cell(first, width, nranks / width, rate, result);
       first = false;
+      if (width == 1) {
+        width1_clean = width1_clean && result.metric("retries") == 0 &&
+                       result.metric("failovers") == 0 &&
+                       result.metric("checksum_failures") == 0;
+      } else if (rate > 0) {
+        faulted_cells_caught = faulted_cells_caught &&
+                               result.metric("checksum_failures") > 0 &&
+                               result.metric("degraded_reads") == 0;
+      }
     }
   }
 
   // Recovery-mode ablation: the same dead rank, degraded forever vs
   // rebuilt from its twin group at the first epoch boundary.
-  elastic_recovery_cell(data, machine, nranks, /*rebuild=*/false);
-  elastic_recovery_cell(data, machine, nranks, /*rebuild=*/true);
+  const int static_paying =
+      elastic_recovery_cell(data, machine, nranks, /*rebuild=*/false);
+  const int rebuild_paying =
+      elastic_recovery_cell(data, machine, nranks, /*rebuild=*/true);
 
   std::printf("\n]\n");
-  return 0;
+
+  bool ok = report(
+      "width-1 cells see no retries, failovers or checksum failures",
+      width1_clean);
+  ok &= report(
+      "every faulted width >= 2 cell catches a corrupted payload and "
+      "serves no degraded read",
+      faulted_cells_caught);
+  ok &= report(
+      "elastic_rebuild pays fault traffic in one epoch, static_degraded in "
+      "every epoch",
+      rebuild_paying == 1 && static_paying == kRecoveryEpochs);
+  return ok ? 0 : 1;
 }

@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark): the hot primitives underneath
 // every experiment — registry lookups, placement arithmetic, sample
-// (de)serialization, batch collation, spectrum smoothing, page-cache
-// access, and the contention primitive.  These measure real wall time of
-// this implementation (unlike the figure benches, which report simulated
-// time).
+// (de)serialization, payload checksums, batch collation, spectrum
+// smoothing, page-cache access, and the contention primitive.  These
+// measure real wall time of this implementation (unlike the figure
+// benches, which report simulated time).
 #include <benchmark/benchmark.h>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/registry.hpp"
@@ -65,6 +66,20 @@ void BM_SampleDeserialize(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_SampleDeserialize);
+
+void BM_Checksum64(benchmark::State& state) {
+  Rng rng(10);
+  ByteBuffer bytes(static_cast<std::size_t>(state.range(0)));
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.next());
+  for (auto _ : state) {
+    std::uint64_t digest = checksum64(ByteSpan(bytes));
+    benchmark::DoNotOptimize(digest);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+// 64 B, one AISD sample (~3 KiB), and 1 MiB.
+BENCHMARK(BM_Checksum64)->Arg(64)->Arg(3072)->Arg(1 << 20);
 
 void BM_CollateBatch(benchmark::State& state) {
   Rng rng(5);

@@ -67,7 +67,7 @@ class DataRegistry {
     std::uint64_t offset;
     std::uint32_t length;
     std::uint32_t owner;
-    /// FNV-1a digest of the serialized sample (common/checksum.hpp),
+    /// 64-bit digest of the serialized sample (common/checksum.hpp),
     /// computed once at preload.  0 means "no checksum recorded"; fetch
     /// paths skip verification for such entries.
     std::uint64_t checksum = 0;
