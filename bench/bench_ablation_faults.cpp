@@ -70,8 +70,7 @@ int elastic_recovery_cell(StagedData& data,
   data.fs().reset_time_state();
   simmpi::Runtime rt(nranks, machine, /*seed=*/42);
   faults::FaultConfig fc;
-  fc.dead_rank = 2;
-  fc.death_time_s = 0.0;
+  fc.deaths.push_back(faults::DeathPhase{2, 0.0});
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, nranks));
 
   std::vector<std::uint64_t> fault_traffic;  // per epoch, summed over ranks
@@ -173,13 +172,11 @@ int main() {
       run.faults.rma_fail_prob = rate;
       run.faults.rma_corrupt_prob = rate / 2.0;
       if (rate > 0) {
-        run.faults.straggler_rank = 1;
-        run.faults.straggler_factor = 4.0;
+        run.faults.slowdowns.push_back(faults::SlowdownPhase{1, 4.0});
         // One rank dies partway through the first epoch: with replicas > 1
         // its traffic fails over to cross-group twins; width 1 never
         // targets it remotely and rides through untouched.
-        run.faults.dead_rank = 2;
-        run.faults.death_time_s = 0.02;
+        run.faults.deaths.push_back(faults::DeathPhase{2, 0.02});
       }
       const auto result = run_training(data, run, BackendKind::DDStore);
       print_cell(first, width, nranks / width, rate, result);

@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
         // coalesced pipeline's vectored transfers.
         run.faults.rma_fail_prob = 0.05;
         run.faults.rma_corrupt_prob = 0.02;
-        run.faults.dead_rank = 5;
+        run.faults.deaths.push_back(faults::DeathPhase{5, 0.0});
         run.faults.deaths.push_back(faults::DeathPhase{1, 0.04});
         if (cell.feature == Feature::LinkFaults) {
           run.faults.links.push_back(kLossyLinks);

@@ -1,10 +1,12 @@
 // Engine micro-bench: wall-clock simulation throughput of the fiber engine.
 //
 // Each cell runs N simulated ranks — stackful fibers on one OS thread —
-// through K scheduler-heavy steps: an allreduce, a parity-ordered ring
-// send/recv, and a barrier per step, i.e. dozens of cooperative yield
-// points.  It reports wall-clock rank-steps per second, the modeled virtual
-// seconds (bit-identical run to run), and the fiber switch count.
+// through K scheduler-heavy steps: an allreduce, an untimed allgather of one
+// double (the exchange StepPipeline runs twice per training step), and a
+// barrier; every op waits in the communicator's barrier, the engine's one
+// wait point.  It reports wall-clock rank-steps per second, the modeled
+// virtual seconds and the fiber switch count; the last two are
+// bit-identical run to run.
 //
 // Output: a JSON array, one object per rank count.  `--smoke` shrinks rank
 // counts and steps to a seconds-scale CI configuration with the same
@@ -12,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "common/harness.hpp"
@@ -27,16 +28,7 @@ namespace {
 void step(simmpi::Comm& c, int s) {
   double v = static_cast<double>(c.rank() + s);
   v = c.allreduce(v, simmpi::Op::Sum);
-  const std::vector<double> payload(16, v);
-  const int next = (c.rank() + 1) % c.size();
-  const int prev = (c.rank() + c.size() - 1) % c.size();
-  if (c.rank() % 2 == 0) {
-    c.send(std::span<const double>(payload), next, /*tag=*/s);
-    c.recv<double>(prev, /*tag=*/s);
-  } else {
-    c.recv<double>(prev, /*tag=*/s);
-    c.send(std::span<const double>(payload), next, /*tag=*/s);
-  }
+  (void)c.allgather_untimed(v);
   c.barrier();
 }
 

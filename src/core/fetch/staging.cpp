@@ -1,7 +1,6 @@
 #include "core/fetch/staging.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/tracing/tracer.hpp"
 
@@ -43,8 +42,7 @@ void StagingStage::enqueue(std::uint64_t id,
           ctx_->primary_target(static_cast<int>(entry.owner))));
   InFlight f;
   f.id = id;
-  f.bytes.resize(entry.length);
-  std::memcpy(f.bytes.data(), region + entry.offset, entry.length);
+  f.bytes.assign(region + entry.offset, region + entry.offset + entry.length);
 
   // Timing plane: the read issues when a queue slot frees — the completion
   // of the read staging_depth places ahead of this one — and its own

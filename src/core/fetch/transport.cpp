@@ -5,7 +5,7 @@
 namespace dds::core::fetch {
 
 void RmaTransport::lock(int target) {
-  ctx_->window->lock(target, simmpi::LockType::Shared);
+  ctx_->window->lock(target);
   ++ctx_->metrics->lock_epochs;
   if (tracing::EventTracer* tr = ctx_->tracer()) {
     tracing::EventArgs args;

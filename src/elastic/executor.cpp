@@ -74,7 +74,7 @@ ByteBuffer execute_rank_plan(core::DDStore& store, const RankReshardPlan& rp,
           MutableByteSpan(new_chunk.data() + seg.dst_offset,
                           static_cast<std::size_t>(seg.length))});
     }
-    window.lock(pull.source, simmpi::LockType::Shared);
+    window.lock(pull.source);
     window.getv(segments, pull.source,
                 /*charge_bytes=*/pull.samples * nominal);
     window.unlock(pull.source);

@@ -19,10 +19,6 @@ FaultInjector::FaultInjector(const FaultConfig& config, int nranks)
   DDS_CHECK_MSG(
       config.fs_read_error_prob >= 0.0 && config.fs_read_error_prob <= 1.0,
       "fs_read_error_prob must be a probability");
-  DDS_CHECK_MSG(config.straggler_rank < nranks, "straggler_rank out of range");
-  DDS_CHECK_MSG(config.dead_rank < nranks, "dead_rank out of range");
-  DDS_CHECK_MSG(config.straggler_factor >= 1.0,
-                "straggler_factor must be >= 1 (a slowdown)");
   for (const SlowdownPhase& p : config.slowdowns) {
     DDS_CHECK_MSG(p.rank >= 0 && p.rank < nranks,
                   "slowdown phase rank out of range");
@@ -106,7 +102,6 @@ LinkOutcome FaultInjector::link_outcome(int origin, int target, double now) {
 
 bool FaultInjector::target_dead(int target, double now) const {
   if (revive_epoch(target) > 0) return false;
-  if (target == config_.dead_rank && now >= config_.death_time_s) return true;
   for (const DeathPhase& p : config_.deaths) {
     if (p.rank == target && now >= p.at_s) return true;
   }

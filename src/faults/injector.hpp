@@ -2,29 +2,27 @@
 //
 // Production data loaders treat transient I/O and peer failures as expected
 // events; this module lets the simulation *arm* them reproducibly so the
-// resilient fetch path in DDStore can be exercised and measured.  Two
-// families of faults are modelled:
+// resilient fetch path in DDStore can be exercised and measured.  Every
+// fault is stated one way:
 //
-// Fail-stop / corruption (the PR-1 set):
+// Per-operation probabilities:
 //  * transient RMA faults — a one-sided get either fails outright (the
 //    origin observes a NACK/timeout) or delivers a corrupted payload
 //    (detected downstream by the registry checksum);
-//  * straggler targets — one rank's NIC serves at a fraction of its rated
-//    speed for the whole run (NetworkModel::set_service_scale);
-//  * permanent rank death — from a virtual time onward, every get targeting
-//    the rank fails (its memory is gone as far as peers are concerned);
 //  * transient FS read errors — preload reads through FsClient throw
 //    IoError with a configured probability.
 //
-// Gray failures (time-varying profiles on the virtual-time axis):
-//  * slowdown phases — a rank's NIC degrades by a factor during a window
-//    [start_s, end_s) and recovers afterwards (flaky / transiently
-//    overloaded nodes);
+// Phases on the virtual-time axis:
+//  * slowdown phases — a rank's NIC serves `factor` times slower during a
+//    window [start_s, end_s) and recovers afterwards; a whole-run straggler
+//    is SlowdownPhase{rank, factor};
 //  * link phases — a directional origin->target link drops transfers with
 //    a probability, adds exponential jitter, or partitions outright during
 //    a window (and heals when it closes);
-//  * scheduled deaths — any number of ranks die at configured virtual
-//    times; revive() brings a rank back once recovery re-hosts its chunk.
+//  * death phases — from a virtual time onward every get targeting the rank
+//    fails (its memory is gone as far as peers are concerned); a rank dead
+//    from the start is DeathPhase{rank, 0}.  revive() brings a rank back
+//    once recovery re-hosts its chunk.
 //
 // Determinism: every decision is drawn from per-rank RNG streams derived
 // from a single seed, and each decision consumes a fixed number of draws,
@@ -56,8 +54,8 @@ enum class GetOutcome {
 };
 
 /// A time window during which one rank's NIC serves `factor` times slower
-/// (software overhead and wire time both stretch, exactly like a static
-/// straggler).  Phases targeting the same rank compound multiplicatively.
+/// (software overhead and wire time both stretch).  The default window is
+/// the whole run.  Phases targeting the same rank compound multiplicatively.
 struct SlowdownPhase {
   int rank = -1;
   double factor = 2.0;
@@ -100,26 +98,15 @@ struct FaultConfig {
   /// Probability that a timed FS read throws a transient IoError.
   double fs_read_error_prob = 0.0;
 
-  /// World rank whose NIC is degraded (-1 = none).
-  int straggler_rank = -1;
-  /// Service-time multiplier for the straggler's NIC (e.g. 8 = 8x slower).
-  double straggler_factor = 8.0;
-
-  /// World rank that dies (-1 = none): gets targeting it fail permanently.
-  int dead_rank = -1;
-  /// Virtual time at which `dead_rank` dies (0 = dead from the start).
-  double death_time_s = 0.0;
-
-  /// Gray-failure schedules (see the phase structs above).
+  /// Fault schedules on the virtual-time axis (see the phase structs above).
   std::vector<SlowdownPhase> slowdowns;
   std::vector<LinkPhase> links;
   std::vector<DeathPhase> deaths;
 
   bool any() const {
     return rma_fail_prob > 0.0 || rma_corrupt_prob > 0.0 ||
-           fs_read_error_prob > 0.0 || straggler_rank >= 0 ||
-           dead_rank >= 0 || !slowdowns.empty() || !links.empty() ||
-           !deaths.empty();
+           fs_read_error_prob > 0.0 || !slowdowns.empty() ||
+           !links.empty() || !deaths.empty();
   }
 };
 
@@ -151,9 +138,8 @@ class FaultInjector {
   /// or FS decision sequences.
   LinkOutcome link_outcome(int origin, int target, double now);
 
-  /// True if `target` (world rank) is dead at virtual time `now` — either
-  /// the legacy dead_rank or any scheduled DeathPhase, unless the rank has
-  /// been revived.
+  /// True if `target` (world rank) is dead at virtual time `now` under any
+  /// DeathPhase, unless the rank has been revived.
   bool target_dead(int target, double now) const;
 
   /// Brings `rank` back: once the recovery path has re-hosted its chunk,
@@ -179,12 +165,6 @@ class FaultInjector {
   /// True if this timed FS read by `origin` should fail transiently.
   /// Consumes exactly one draw from the origin's FS stream.
   bool fs_read_fails(int origin);
-
-  /// Static NIC service-time multiplier for `rank` (1.0 unless it is the
-  /// whole-run straggler).  Applied once at arm time.
-  double service_scale_of(int rank) const {
-    return rank == config_.straggler_rank ? config_.straggler_factor : 1.0;
-  }
 
   /// Time-varying NIC service-time multiplier for `rank` at `now`: the
   /// product of all active slowdown phases (exactly 1.0 outside them).

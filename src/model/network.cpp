@@ -10,15 +10,8 @@ NetworkModel::NetworkModel(const MachineConfig& machine, int nranks)
       nranks_(nranks),
       nnodes_(machine.nodes_for_ranks(nranks)),
       nic_(static_cast<std::size_t>(nnodes_)),
-      fabric_(static_cast<std::size_t>(nnodes_)),
-      rank_scale_(static_cast<std::size_t>(nranks), 1.0) {
+      fabric_(static_cast<std::size_t>(nnodes_)) {
   DDS_CHECK(nranks > 0);
-}
-
-void NetworkModel::set_service_scale(int rank, double factor) {
-  DDS_CHECK_MSG(rank >= 0 && rank < nranks_, "rank out of range");
-  DDS_CHECK_MSG(factor >= 1.0, "service scale must be a slowdown (>= 1)");
-  rank_scale_[static_cast<std::size_t>(rank)] = factor;
 }
 
 double NetworkModel::rma_get_time(int origin, int target, std::uint64_t bytes,

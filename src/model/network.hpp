@@ -67,26 +67,16 @@ class NetworkModel {
   int nranks() const { return nranks_; }
   const MachineConfig& machine() const { return machine_; }
 
-  /// Degrades (or restores) the service speed of one rank's NIC endpoint:
-  /// transfers targeting `rank` take `factor` times longer (straggler
-  /// modelling for fault injection).  1.0 restores rated speed.
-  void set_service_scale(int rank, double factor);
-  double service_scale(int rank) const {
-    return rank_scale_.at(static_cast<std::size_t>(rank));
-  }
-
-  /// Installs a *time-varying* service-scale source consulted per RMA
-  /// transfer (gray-failure slowdown phases): the returned factor
-  /// multiplies the static set_service_scale value for the transfer's
-  /// target at its issue time.  Pass nullptr to clear.  With no source
-  /// installed the timing arithmetic is bit-identical to the static model
-  /// (the committed perf baselines rely on this).
+  /// Installs a service-scale source consulted per RMA transfer (fault
+  /// injection's slowdown phases): transfers targeting `rank` at virtual
+  /// time `now` take the returned factor times longer.  Pass nullptr to
+  /// clear; with no source installed every rank serves at rated speed.
   void set_dynamic_scale(std::function<double(int rank, double now)> fn) {
     dynamic_scale_ = std::move(fn);
   }
 
-  /// Clears all NIC busy state (between epochs/runs).  Service-scale
-  /// degradations persist; clear them via set_service_scale.
+  /// Clears all NIC busy state (between epochs/runs).  The service-scale
+  /// source persists; clear it via set_dynamic_scale.
   void reset();
 
  private:
@@ -97,17 +87,14 @@ class NetworkModel {
   const MachineConfig machine_;
   int nranks_;
   int nnodes_;
-  /// Effective service scale of `target` for a transfer issued at `start`
-  /// (static straggler factor times any active dynamic slowdown phase).
+  /// Service scale of `target` for a transfer issued at `start`.
   double scale_at(int target, double start) const {
-    const double s = rank_scale_[static_cast<std::size_t>(target)];
-    return dynamic_scale_ ? s * dynamic_scale_(target, start) : s;
+    return dynamic_scale_ ? dynamic_scale_(target, start) : 1.0;
   }
 
   std::vector<BusyResource> nic_;     ///< per-node inter-node port
   std::vector<BusyResource> fabric_;  ///< per-node intra-node fabric
-  std::vector<double> rank_scale_;    ///< per-rank NIC service multiplier
-  std::function<double(int, double)> dynamic_scale_;  ///< gray slowdowns
+  std::function<double(int, double)> dynamic_scale_;  ///< slowdown phases
 };
 
 }  // namespace dds::model

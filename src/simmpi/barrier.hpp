@@ -1,11 +1,12 @@
 // Abortable generation barrier for cooperative ranks.
 //
-// Every collective in simmpi synchronizes through this barrier.  Arrival is
-// counted and the rank yields its execution token until the generation
-// flips.  If any rank dies with an exception, the runtime raises the shared
-// abort flag; parked ranks then observe it, withdraw their arrival, and
-// throw AbortedError instead of deadlocking — so a failure in one rank
-// surfaces as a clean test failure, not a hang.
+// Every collective in simmpi synchronizes through this barrier, and it is
+// the only place a rank blocks (sched.hpp).  Arrival is counted and the rank
+// yields its execution token until the generation flips.  If any rank dies
+// with an exception, the runtime raises the shared abort flag; parked ranks
+// then observe it, withdraw their arrival, and throw AbortedError instead
+// of deadlocking — so a failure in one rank surfaces as a clean test
+// failure, not a hang.
 #pragma once
 
 #include <cstdint>

@@ -264,8 +264,8 @@ void FiberScheduler::run(const std::function<void(int)>& body) {
     }
     if (next < 0) {
       // Every live fiber is parked on a false predicate: cooperative
-      // deadlock.  Raise the abort flag — the simmpi wait predicates all
-      // observe it — and rescan so the parked fibers wake, unwind with
+      // deadlock.  Raise the abort flag — the barrier's wait predicate
+      // observes it — and rescan so the parked fibers wake, unwind with
       // AbortedError, and release their stacks; then report below.  If the
       // predicates ignore the flag (a raw user-level yield_until), the
       // second failed scan gives up and abandons the fibers un-unwound.

@@ -108,62 +108,6 @@ std::shared_ptr<void> Comm::share_ptr(
   return ptr;
 }
 
-void Comm::send_bytes(ByteSpan data, int dest, int tag) {
-  DDS_CHECK(dest >= 0 && dest < size());
-  Runtime& rt = *shared_->runtime;
-  const int src_world = world_rank();
-  const int dst_world = world_rank_of(dest);
-  const double trace_t0 = clock().now();
-  const double arrival = rt.network().message_time(
-      src_world, dst_world, data.size(), clock().now());
-
-  detail::Message msg;
-  msg.src = rank_;
-  msg.tag = tag;
-  msg.data.assign(data.begin(), data.end());
-  msg.arrival = arrival;
-
-  rt.mailbox(dst_world).push_back(std::move(msg));
-  // Sender returns once the message is injected (eager protocol).
-  clock().advance(rt.machine().net.inter_latency_s);
-  if (tracing::EventTracer* tr = tracer()) {
-    tracing::EventArgs args;
-    args.target = dst_world;
-    args.bytes = static_cast<std::int64_t>(data.size());
-    tr->record(tracing::Category::Simmpi, "send", trace_t0, clock().now(),
-               args);
-  }
-}
-
-ByteBuffer Comm::recv_bytes(int src, int tag, int* actual_src) {
-  Runtime& rt = *shared_->runtime;
-  auto& box = rt.mailbox(world_rank());
-  const auto match = [&](const detail::Message& m) {
-    return (src == kAnySource || m.src == src) && m.tag == tag;
-  };
-  // Cooperative wait: hand the execution token around until a matching
-  // message lands (or the job aborts).
-  auto it = box.end();
-  rt.fiber_scheduler()->yield_until([&] {
-    it = std::find_if(box.begin(), box.end(), match);
-    return it != box.end() || rt.abort_flag().raised();
-  });
-  if (it == box.end()) throw AbortedError();
-  detail::Message msg = std::move(*it);
-  box.erase(it);
-  const double trace_t0 = clock().now();
-  clock().advance_to(msg.arrival);
-  if (actual_src != nullptr) *actual_src = msg.src;
-  if (tracing::EventTracer* tr = tracer()) {
-    tracing::EventArgs args;
-    args.target = world_rank_of(msg.src);
-    args.bytes = static_cast<std::int64_t>(msg.data.size());
-    tr->record(tracing::Category::Simmpi, "recv", trace_t0, clock().now(),
-               args);
-  }
-  return std::move(msg.data);
-}
-
 // ---- Runtime ---------------------------------------------------------------
 
 Runtime::Runtime(int nranks, model::MachineConfig machine, std::uint64_t seed,
@@ -173,8 +117,7 @@ Runtime::Runtime(int nranks, model::MachineConfig machine, std::uint64_t seed,
       net_(machine_, nranks),
       fibers_(nranks, &abort_),
       clocks_(static_cast<std::size_t>(nranks)),
-      rngs_(),
-      mailboxes_(static_cast<std::size_t>(nranks)) {
+      rngs_() {
   if (!deterministic) {
     throw ConfigError(
         "simmpi::Runtime: there is no free-running mode; every run is "

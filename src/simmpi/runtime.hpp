@@ -10,7 +10,9 @@
 //
 // Ranks run as stackful fibers on the calling OS thread (simmpi/fiber.hpp),
 // scheduled run-to-next-blocking-op in cyclic rank order: fast,
-// deterministic, and scalable to thousands of simulated ranks.
+// deterministic, and scalable to thousands of simulated ranks.  The only
+// blocking op is the communicator's Barrier, which every collective runs
+// through; window epochs and gets never wait.
 //
 // Usage:
 //   Runtime rt(8, model::perlmutter());
@@ -21,7 +23,6 @@
 #pragma once
 
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -46,7 +47,7 @@ class Comm;
 /// remains so callers that spell the engine out keep compiling.
 enum class Engine { Fibers };
 
-/// Reduction operators for allreduce/reduce.
+/// Reduction operators for the allreduce family.
 enum class Op { Sum, Min, Max, Prod };
 
 namespace detail {
@@ -65,17 +66,6 @@ T apply_op(Op op, T a, T b) {
   }
   throw InternalError("unknown Op");
 }
-
-/// A point-to-point message in flight.
-struct Message {
-  int src = -1;
-  int tag = 0;
-  ByteBuffer data;
-  double arrival = 0.0;  ///< simulated time the payload lands at the receiver
-};
-
-/// Per-rank incoming message queue (two-sided communication).
-using Mailbox = std::deque<Message>;
 
 /// State shared by all member ranks of one communicator.
 struct CommShared {
@@ -135,30 +125,6 @@ class Comm {
   /// Splits into sub-communicators by color; ranks ordered by (key, rank).
   Comm split(int color, int key);
 
-  Comm dup() { return split(0, rank_); }
-
-  template <typename T>
-    requires TriviallySerializable<T>
-  void bcast(T* data, std::size_t count, int root) {
-    const double t0 = clock_now();
-    deposit(data, count * sizeof(T));
-    const double done = read_phase([&](int) {
-      if (rank_ != root) {
-        std::memcpy(data, shared_->slots[root], count * sizeof(T));
-      }
-    });
-    finish(done, count * sizeof(T));
-    trace_collective("bcast", t0, count * sizeof(T));
-  }
-
-  template <typename T>
-  void bcast(std::vector<T>& v, int root) {
-    auto n = static_cast<std::uint64_t>(v.size());
-    bcast(&n, 1, root);
-    if (rank_ != root) v.resize(n);
-    if (n > 0) bcast(v.data(), v.size(), root);
-  }
-
   template <typename T>
   T allreduce(T value, Op op) {
     T result = value;
@@ -184,23 +150,6 @@ class Comm {
     });
     finish(done, data.size() * sizeof(T));
     trace_collective("allreduce", t0, data.size() * sizeof(T));
-  }
-
-  template <typename T>
-    requires TriviallySerializable<T>
-  std::vector<T> allgather(const T& value) {
-    const double t0 = clock_now();
-    deposit(&value, sizeof(T));
-    std::vector<T> out(static_cast<std::size_t>(size()));
-    const double done = read_phase([&](int nranks) {
-      for (int r = 0; r < nranks; ++r) {
-        std::memcpy(&out[static_cast<std::size_t>(r)], shared_->slots[r],
-                    sizeof(T));
-      }
-    });
-    finish(done, sizeof(T));
-    trace_collective("allgather", t0, sizeof(T));
-    return out;
   }
 
   /// Variable-count allgather; fills `counts` (per-rank element counts)
@@ -232,49 +181,6 @@ class Comm {
     });
     finish(done, max_bytes);
     trace_collective("allgatherv", t0, max_bytes);
-    return out;
-  }
-
-  /// All-to-all with per-destination buffers: send[i] goes to rank i;
-  /// returns the concatenation of everyone's segment addressed to us.
-  template <typename T>
-    requires TriviallySerializable<T>
-  std::vector<T> alltoallv(const std::vector<std::vector<T>>& send,
-                           std::vector<std::size_t>* counts = nullptr) {
-    DDS_CHECK(static_cast<int>(send.size()) == size());
-    const double t0 = clock_now();
-    // Flatten into one length-prefixed buffer so deposit() snapshots the
-    // whole payload: a pointer to the caller's nested vectors would dangle
-    // if the caller unwinds on abort while a peer is still reading.
-    ByteBuffer flat;
-    BinaryWriter writer(flat);
-    for (const auto& s : send) writer.write_vector(s);
-    deposit(flat.data(), flat.size());
-    std::vector<T> out;
-    std::size_t my_bytes_out = 0;
-    for (const auto& s : send) my_bytes_out += s.size() * sizeof(T);
-    const double done = read_phase([&](int nranks) {
-      if (counts != nullptr) counts->assign(static_cast<std::size_t>(nranks), 0);
-      for (int r = 0; r < nranks; ++r) {
-        const auto sr = static_cast<std::size_t>(r);
-        BinaryReader reader(
-            ByteSpan(static_cast<const std::byte*>(shared_->slots[sr]),
-                     shared_->size_slots[sr]));
-        // Segment `dest` of rank r's buffer is addressed to rank `dest`.
-        for (int dest = 0; dest < nranks; ++dest) {
-          if (dest == rank_) {
-            const std::vector<T> seg = reader.read_vector<T>();
-            out.insert(out.end(), seg.begin(), seg.end());
-            if (counts != nullptr) (*counts)[sr] = seg.size();
-          } else {
-            const auto n = reader.read<std::uint64_t>();
-            reader.skip(static_cast<std::size_t>(n) * sizeof(T));
-          }
-        }
-      }
-    });
-    finish(done, my_bytes_out);
-    trace_collective("alltoallv", t0, my_bytes_out);
     return out;
   }
 
@@ -399,32 +305,6 @@ class Comm {
         root, [&make]() -> std::shared_ptr<void> { return make(); }));
   }
 
-  // ---- two-sided point-to-point ---------------------------------------
-
-  static constexpr int kAnySource = -1;
-
-  void send_bytes(ByteSpan data, int dest, int tag);
-  /// Blocks until a matching message arrives; src may be kAnySource.
-  ByteBuffer recv_bytes(int src, int tag, int* actual_src = nullptr);
-
-  template <typename T>
-    requires TriviallySerializable<T>
-  void send(std::span<const T> data, int dest, int tag) {
-    send_bytes(ByteSpan(reinterpret_cast<const std::byte*>(data.data()),
-                        data.size() * sizeof(T)),
-               dest, tag);
-  }
-
-  template <typename T>
-    requires TriviallySerializable<T>
-  std::vector<T> recv(int src, int tag, int* actual_src = nullptr) {
-    ByteBuffer buf = recv_bytes(src, tag, actual_src);
-    DDS_CHECK(buf.size() % sizeof(T) == 0);
-    std::vector<T> out(buf.size() / sizeof(T));
-    std::memcpy(out.data(), buf.data(), buf.size());
-    return out;
-  }
-
  private:
   friend class Runtime;
   friend class Window;
@@ -500,7 +380,7 @@ class Runtime {
 
   /// Runs `fn(world_comm)` on every rank, as fibers driven by the calling
   /// thread.  The first exception thrown by any rank is rethrown here;
-  /// other ranks are released from their wait points via the abort flag.
+  /// other ranks are released from the barrier via the abort flag.
   void run(const std::function<void(Comm&)>& fn);
 
   int nranks() const { return nranks_; }
@@ -513,12 +393,9 @@ class Runtime {
   Rng& rng_of(int world_rank) {
     return rngs_[static_cast<std::size_t>(world_rank)];
   }
-  detail::Mailbox& mailbox(int world_rank) {
-    return mailboxes_[static_cast<std::size_t>(world_rank)];
-  }
   AbortFlag& abort_flag() { return abort_; }
 
-  /// The scheduler running the ranks: the wait points yield through it,
+  /// The scheduler running the ranks: the barrier yields through it,
   /// and it exposes diagnostics (switch counts, stack geometry).  Never
   /// null.
   FiberScheduler* fiber_scheduler() { return &fibers_; }
@@ -569,20 +446,16 @@ class Runtime {
   void reset_time();
 
   /// Arms deterministic fault injection for subsequent run() calls (or
-  /// disarms it when `injector` is null).  Arming applies the injector's
-  /// straggler service scale to the network model; disarming restores
-  /// every rank to rated speed.
+  /// disarms it when `injector` is null).  Arming installs the injector's
+  /// slowdown phases in the network model; disarming restores every rank
+  /// to rated speed.
   void set_fault_injector(std::shared_ptr<faults::FaultInjector> injector) {
     DDS_CHECK_MSG(injector == nullptr || injector->nranks() == nranks_,
                   "fault injector sized for a different world");
     injector_ = std::move(injector);
-    for (int r = 0; r < nranks_; ++r) {
-      net_.set_service_scale(r,
-                             injector_ ? injector_->service_scale_of(r) : 1.0);
-    }
-    // Time-varying slowdown phases need a per-transfer hook; with none
-    // configured, leave the hook empty so the static timing arithmetic is
-    // untouched (bit-identical perf baselines).
+    // Slowdown phases need a per-transfer hook; with none configured, leave
+    // the hook empty so the rated-speed timing arithmetic is untouched
+    // (bit-identical perf baselines).
     if (injector_ != nullptr && injector_->has_dynamic_profiles()) {
       net_.set_dynamic_scale([this](int rank, double now) {
         return injector_ ? injector_->slowdown_of(rank, now) : 1.0;
@@ -603,7 +476,6 @@ class Runtime {
   FiberScheduler fibers_;
   std::vector<model::VirtualClock> clocks_;
   std::vector<Rng> rngs_;
-  std::vector<detail::Mailbox> mailboxes_;
   std::vector<std::unique_ptr<tracing::EventTracer>> tracers_;
   std::shared_ptr<faults::FaultInjector> injector_;
   std::shared_ptr<detail::CommShared> world_;

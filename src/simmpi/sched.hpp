@@ -1,24 +1,25 @@
-// Cooperative turn scheduling: the serialization contract every simmpi wait
+// Cooperative turn scheduling: the serialization contract the simmpi wait
 // point relies on.
 //
 // The FiberScheduler (simmpi/fiber.hpp) runs every simulated rank as a
 // stackful fiber inside ONE OS thread and resumes exactly one of them at a
 // time, run-to-next-blocking-op, in cyclic rank order.  Every shared virtual
-// resource (BusyResource buckets, the FS page cache, window locks)
-// therefore observes operations in a reproducible order — the global
-// interleaving of every virtual-time event is a pure function of the
-// program, identical on every run, on any machine, at any ctest
-// parallelism.  The CI perf gate compares modeled times byte for byte
-// against a committed baseline on the strength of this.
+// resource (BusyResource buckets, the FS page cache) therefore observes
+// operations in a reproducible order — the global interleaving of every
+// virtual-time event is a pure function of the program, identical on every
+// run, on any machine, at any ctest parallelism.  The CI perf gate compares
+// modeled times byte for byte against a committed baseline on the strength
+// of this.
 //
 // Contract for cooperative code:
+//  * A rank blocks in exactly one place: Barrier::arrive_and_wait, which
+//    every collective runs through.  Window epochs and gets never wait.
 //  * A rank must never hold a lock that another rank can block on while it
 //    yields: blocking the one OS thread every rank shares wedges them all.
 //    Plain short critical sections (BusyResource, the page cache) never
-//    yield and therefore never deadlock.  The simmpi wait points (Barrier,
-//    Comm::recv_bytes, Window lock epochs) need no lock at all: a rank gives
-//    up the CPU only inside yield_until(), so code between two wait points
-//    runs atomically with respect to every other rank.
+//    yield and therefore never deadlock.  The barrier needs no lock at all:
+//    a rank gives up the CPU only inside yield_until(), so code between two
+//    barriers runs atomically with respect to every other rank.
 //  * Predicates passed to yield_until() are evaluated while the yielding
 //    rank is suspended (never concurrently with other rank code) and must
 //    depend only on state mutated by rank code plus the abort flag, so
@@ -33,13 +34,13 @@
 
 namespace dds::simmpi {
 
-/// Thrown by ranks parked in a wait point when another rank has failed.
+/// Thrown by ranks parked in the barrier when another rank has failed.
 class AbortedError : public Error {
  public:
   AbortedError() : Error("simmpi: collective aborted (a rank failed)") {}
 };
 
-/// Shared abort flag owned by the Runtime, observed by every wait point.
+/// Shared abort flag owned by the Runtime, observed by the barrier.
 class AbortFlag {
  public:
   void raise() { raised_ = true; }

@@ -6,8 +6,7 @@ namespace dds::simmpi {
 
 Window::Window(Comm& comm, MutableByteSpan local,
                std::shared_ptr<const void> keepalive)
-    : comm_(comm), held_(static_cast<std::size_t>(comm.size()),
-                         HeldLock::None) {
+    : comm_(comm), in_epoch_(static_cast<std::size_t>(comm.size()), false) {
   auto& cs = *comm_.shared_;
   const auto me = static_cast<std::size_t>(comm_.rank());
 
@@ -38,28 +37,10 @@ Window::Window(Comm& comm, MutableByteSpan local,
   comm_.finish(start, sizeof(void*));
 }
 
-void Window::lock(int target, LockType type) {
+void Window::lock(int target) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) == HeldLock::None,
-                "lock epoch already active on this target");
-  detail::RegionLock& rl = shared_->locks[t];
-  // Park the rank until the region is available.  The counters are mutated
-  // only while holding the execution token, and the abort clause keeps a
-  // rank from being parked forever behind a holder that unwound.
-  FiberScheduler& sched = *comm_.runtime().fiber_scheduler();
-  AbortFlag& abort = comm_.runtime().abort_flag();
-  if (type == LockType::Shared) {
-    sched.yield_until([&] { return abort.raised() || !rl.writer; });
-    if (rl.writer) throw AbortedError();  // woken by abort, still held
-    ++rl.readers;
-    held_[t] = HeldLock::Shared;
-  } else {
-    sched.yield_until(
-        [&] { return abort.raised() || (!rl.writer && rl.readers == 0); });
-    if (rl.writer || rl.readers != 0) throw AbortedError();
-    rl.writer = true;
-    held_[t] = HeldLock::Exclusive;
-  }
+  DDS_CHECK_MSG(!in_epoch_.at(t), "lock epoch already active on this target");
+  in_epoch_[t] = true;
   // Timing of lock/unlock is folded into the per-access RMA overhead in
   // NetworkModel (rma_remote_overhead_s), matching how the paper reports a
   // single per-sample fetch latency — so the trace marks epoch boundaries
@@ -74,18 +55,8 @@ void Window::lock(int target, LockType type) {
 
 void Window::unlock(int target) {
   const auto t = static_cast<std::size_t>(target);
-  detail::RegionLock& rl = shared_->locks[t];
-  switch (held_.at(t)) {
-    case HeldLock::Shared:
-      --rl.readers;  // a parked writer's predicate turns true
-      break;
-    case HeldLock::Exclusive:
-      rl.writer = false;
-      break;
-    case HeldLock::None:
-      throw InternalError("unlock without a matching lock");
-  }
-  held_[t] = HeldLock::None;
+  if (!in_epoch_.at(t)) throw InternalError("unlock without a matching lock");
+  in_epoch_[t] = false;
   if (tracing::EventTracer* tr = comm_.tracer()) {
     tracing::EventArgs args;
     args.target = comm_.world_rank_of(target);
@@ -114,7 +85,7 @@ void Window::get(MutableByteSpan dst, int target, std::size_t offset,
 double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
                       double start, std::uint64_t charge_bytes) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) != HeldLock::None, "get outside a lock epoch");
+  DDS_CHECK_MSG(in_epoch_.at(t), "get outside a lock epoch");
   check_bounds(target, offset, dst.size());
 
   const auto& region = shared_->regions[t];
@@ -141,7 +112,7 @@ void Window::getv(std::span<const GetSegment> segments, int target,
 double Window::getv_at(std::span<const GetSegment> segments, int target,
                        double start, std::uint64_t charge_bytes) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) != HeldLock::None, "getv outside a lock epoch");
+  DDS_CHECK_MSG(in_epoch_.at(t), "getv outside a lock epoch");
   DDS_CHECK_MSG(!segments.empty(), "getv with no segments");
   std::uint64_t total = 0;
   for (const auto& seg : segments) {
@@ -166,60 +137,9 @@ double Window::getv_at(std::span<const GetSegment> segments, int target,
   return done;
 }
 
-void Window::put(ByteSpan src, int target, std::size_t offset) {
-  const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) == HeldLock::Exclusive,
-                "put requires an exclusive lock epoch");
-  check_bounds(target, offset, src.size());
-  auto& region = shared_->regions[t];
-  std::memcpy(region.data() + offset, src.data(), src.size());
-
-  auto& rt = comm_.runtime();
-  const double trace_t0 = comm_.clock().now();
-  const double done = rt.network().rma_get_time(
-      comm_.world_rank(), comm_.world_rank_of(target), src.size(),
-      comm_.clock().now());
-  comm_.clock().advance_to(done);
-  if (tracing::EventTracer* tr = comm_.tracer()) {
-    tracing::EventArgs args;
-    args.target = comm_.world_rank_of(target);
-    args.bytes = static_cast<std::int64_t>(src.size());
-    tr->record(tracing::Category::Simmpi, "win_put", trace_t0,
-               comm_.clock().now(), args);
-  }
-}
-
-void Window::accumulate_add(std::span<const double> src, int target,
-                            std::size_t offset) {
-  const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) == HeldLock::Exclusive,
-                "accumulate requires an exclusive lock epoch");
-  const std::size_t bytes = src.size() * sizeof(double);
-  check_bounds(target, offset, bytes);
-  auto& region = shared_->regions[t];
-  DDS_CHECK_MSG(offset % sizeof(double) == 0, "misaligned accumulate");
-  auto* dst = reinterpret_cast<double*>(region.data() + offset);
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
-
-  auto& rt = comm_.runtime();
-  const double trace_t0 = comm_.clock().now();
-  const double done = rt.network().rma_get_time(
-      comm_.world_rank(), comm_.world_rank_of(target), bytes,
-      comm_.clock().now());
-  comm_.clock().advance_to(done);
-  if (tracing::EventTracer* tr = comm_.tracer()) {
-    tracing::EventArgs args;
-    args.target = comm_.world_rank_of(target);
-    args.bytes = static_cast<std::int64_t>(bytes);
-    tr->record(tracing::Category::Simmpi, "win_accumulate", trace_t0,
-               comm_.clock().now(), args);
-  }
-}
-
 void Window::fence() {
-  for (std::size_t t = 0; t < held_.size(); ++t) {
-    DDS_CHECK_MSG(held_[t] == HeldLock::None,
-                  "fence with an open lock epoch");
+  for (const bool open : in_epoch_) {
+    DDS_CHECK_MSG(!open, "fence with an open lock epoch");
   }
   const double trace_t0 = comm_.clock().now();
   comm_.sync_clocks(0);
@@ -227,11 +147,6 @@ void Window::fence() {
     tr->record(tracing::Category::Simmpi, "win_fence", trace_t0,
                comm_.clock().now());
   }
-}
-
-void Window::free() {
-  comm_.barrier();
-  shared_.reset();
 }
 
 }  // namespace dds::simmpi

@@ -1,29 +1,21 @@
-// One-sided RMA windows (the MPI_Win_* subset DDStore relies on).
+// One-sided RMA windows (the MPI_Win_* read subset DDStore relies on).
 //
 // A Window is created collectively over a communicator; each rank exposes a
-// region of its own memory.  Remote ranks read it with lock(Shared) + get +
-// unlock — the passive-target pattern the paper selects ("MPI_Win_lock with
+// region of its own memory.  Remote ranks read it with lock + get + unlock
+// — the passive-target pattern the paper selects ("MPI_Win_lock with
 // MPI_LOCK_SHARED ... as a lightweight set of contention-avoiding methods",
-// §3.2) — or synchronize epochs with fence().  get/put move real bytes via
-// memcpy under a per-region reader/writer lock (detail::RegionLock); the
-// NetworkModel charges virtual time (software overhead + wire + queueing at
-// the target node's NIC).
+// §3.2) — or synchronize epochs with fence().  Every epoch is shared and
+// nothing writes an exposed region through the window, so an epoch never
+// waits for another rank: lock() only opens this rank's epoch on the
+// target, and get() moves real bytes via memcpy while the NetworkModel
+// charges virtual time (software overhead + wire + queueing at the target
+// node's NIC).
 //
 // The window is a *faithful* data mover: fault injection lives one layer up,
 // at the DDStore transport seam (core/fetch/transport.hpp), which decides a
 // transfer's fate before delegating the clean byte movement here.
-//
-// Deviations from MPI semantics, by design:
-//  * lock() blocks immediately instead of deferring to the first access;
-//    cross-rank exclusive lock cycles can therefore deadlock (as can
-//    misordered MPI passive-target code).  The wait is a scheduler yield,
-//    so such a cycle trips the loud cooperative-deadlock invariant instead
-//    of hanging.
-//  * Window lifetime is reference counted; free() is a collective no-op
-//    provided for symmetry with MPI_Win_free.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "common/bytes.hpp"
@@ -31,30 +23,16 @@
 
 namespace dds::simmpi {
 
-enum class LockType { Shared, Exclusive };
-
 namespace detail {
 
-/// Reader/writer lock on one exposed region.  A waiting rank parks on the
-/// counters via FiberScheduler::yield_until — blocking the OS thread would
-/// wedge every fiber sharing it.  The counters are only touched by the
-/// rank holding the execution token, so they need no atomics; an
-/// uncontended acquisition sees its predicate true immediately and never
-/// yields, so it stays out of the deterministic operation order.
-struct RegionLock {
-  int readers = 0;
-  bool writer = false;
-};
-
 struct WindowShared {
-  explicit WindowShared(std::size_t n) : regions(n), keepalives(n), locks(n) {}
+  explicit WindowShared(std::size_t n) : regions(n), keepalives(n) {}
   std::vector<MutableByteSpan> regions;    ///< indexed by comm rank
   /// Optional shared ownership of each region's backing storage: keeps a
   /// rank's buffer alive until the *last* member's Window handle dies, so a
   /// rank finishing early cannot free memory peers still read (the
   /// in-process analogue of MPI_Win_free being collective).
   std::vector<std::shared_ptr<const void>> keepalives;
-  std::deque<RegionLock> locks;            ///< per exposed region
 };
 
 }  // namespace detail
@@ -75,8 +53,9 @@ class Window {
   Window& operator=(Window&&) = default;
   ~Window() = default;
 
-  /// Begins a passive-target access epoch on `target`'s region.
-  void lock(int target, LockType type);
+  /// Begins a shared passive-target access epoch on `target`'s region
+  /// (MPI_Win_lock with MPI_LOCK_SHARED).  Never waits.
+  void lock(int target);
 
   /// Ends the access epoch started by lock().
   void unlock(int target);
@@ -121,37 +100,21 @@ class Window {
   double getv_at(std::span<const GetSegment> segments, int target,
                  double start, std::uint64_t charge_bytes = 0);
 
-  /// Writes src into `target`'s region at `offset` (exclusive lock needed).
-  void put(ByteSpan src, int target, std::size_t offset);
-
-  /// Element-wise += of doubles into `target`'s region (exclusive lock).
-  void accumulate_add(std::span<const double> src, int target,
-                      std::size_t offset);
-
   /// Collective epoch boundary; reconciles all member clocks (MPI_Win_fence).
   void fence();
 
-  /// Collective release (MPI_Win_free); the object stays valid but empty.
-  void free();
-
-  std::size_t size_of(int target) const {
-    return shared_->regions.at(static_cast<std::size_t>(target)).size();
-  }
-  /// Address of a target's exposed region (diagnostics/tests only).
+  /// Address of a target's exposed region, for copies priced outside the
+  /// window (the staging stage's cold-tier reads).
   const void* region_data(int target) const {
     return shared_->regions.at(static_cast<std::size_t>(target)).data();
   }
-  int comm_rank() const { return comm_.rank(); }
-  int comm_size() const { return comm_.size(); }
 
  private:
-  enum class HeldLock : std::uint8_t { None = 0, Shared = 1, Exclusive = 2 };
-
   void check_bounds(int target, std::size_t offset, std::size_t len) const;
 
   Comm comm_;
   std::shared_ptr<detail::WindowShared> shared_;
-  std::vector<HeldLock> held_;  ///< this rank's epoch state per target
+  std::vector<bool> in_epoch_;  ///< this rank's open epochs, per target
 };
 
 }  // namespace dds::simmpi

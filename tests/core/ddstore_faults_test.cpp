@@ -144,7 +144,9 @@ TEST_F(DDStoreFaultsTest, CorruptedTransfersAreCaughtByChecksums) {
 TEST_F(DDStoreFaultsTest, DeadRankFailsOverToTwinInSiblingGroup) {
   simmpi::Runtime rt(8, machine_);
   faults::FaultConfig fc;
-  fc.dead_rank = 1;  // group 0's second member; twins live in groups 1..3
+  // Rank 1 (group 0's second member) is dead from the start; its twins
+  // live in groups 1..3.
+  fc.deaths.push_back(faults::DeathPhase{1, 0.0});
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, 8));
   const auto reader = cff_reader();
   rt.run([&](simmpi::Comm& c) {
@@ -169,7 +171,7 @@ TEST_F(DDStoreFaultsTest, DeadRankFailsOverToTwinInSiblingGroup) {
 TEST_F(DDStoreFaultsTest, SingleReplicaDeadRankDegradesToFsFallback) {
   simmpi::Runtime rt(4, machine_);
   faults::FaultConfig fc;
-  fc.dead_rank = 1;
+  fc.deaths.push_back(faults::DeathPhase{1, 0.0});
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, 4));
   const auto reader = cff_reader();
   rt.run([&](simmpi::Comm& c) {
@@ -189,7 +191,7 @@ TEST_F(DDStoreFaultsTest, SameSeedGivesIdenticalFaultCounts) {
   fc.seed = 1234;
   fc.rma_fail_prob = 0.1;
   fc.rma_corrupt_prob = 0.1;
-  fc.dead_rank = 3;
+  fc.deaths.push_back(faults::DeathPhase{3, 0.0});
   const auto first = run_and_count(8, 2, fc);
   const auto second = run_and_count(8, 2, fc);
   EXPECT_EQ(first, second);
@@ -276,7 +278,7 @@ TEST_F(DDStoreFaultsTest, EpochReportSurfacesResilienceActivity) {
     // Every rank computes the same job-wide resilience sums.
     const std::uint64_t retries = report.metric("retries");
     EXPECT_GT(retries, 0u);
-    const auto check = c.allgather(retries);
+    const auto check = c.allgather_untimed(retries);
     for (const auto v : check) EXPECT_EQ(v, retries);
   });
 }

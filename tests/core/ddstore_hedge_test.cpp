@@ -192,7 +192,8 @@ TEST_F(DDStoreHedgeTest, HedgingNeverDoubleCountsPayloadBytes) {
 TEST_F(DDStoreHedgeTest, ReviveRestoresBreakerAndHealthEligibility) {
   fs_.reset_time_state();
   faults::FaultConfig fc;
-  fc.dead_rank = kStraggler;  // dead from t=0; twins carry its chunk
+  // Dead from t=0; twins carry its chunk.
+  fc.deaths.push_back(faults::DeathPhase{kStraggler, 0.0});
   auto injector = std::make_shared<faults::FaultInjector>(fc, kRanks);
   simmpi::Runtime rt(kRanks, machine_, 42);
   rt.set_fault_injector(injector);

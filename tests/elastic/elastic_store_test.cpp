@@ -117,8 +117,9 @@ TEST_F(ElasticStoreTest, CacheStaysValidAcrossReshard) {
 TEST_F(ElasticStoreTest, DeadRankIsRebuiltFromItsTwinAndRevived) {
   simmpi::Runtime rt(8, machine_, /*seed=*/42);
   faults::FaultConfig fc;
-  fc.dead_rank = 2;  // group 0 member; its twin (rank 6) lives in group 1
-  fc.death_time_s = 0.0;
+  // Rank 2 (a group 0 member) is dead from the start; its twin (rank 6)
+  // lives in group 1.
+  fc.deaths.push_back(faults::DeathPhase{2, 0.0});
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, 8));
   const auto reader = cff_reader();
   rt.run([&](simmpi::Comm& c) {
@@ -158,7 +159,8 @@ TEST_F(ElasticStoreTest, DeadRankIsRebuiltFromItsTwinAndRevived) {
 TEST_F(ElasticStoreTest, SingleReplicaGroupStaysDegradedInsteadOfRebuilding) {
   simmpi::Runtime rt(8, machine_, /*seed=*/42);
   faults::FaultConfig fc;
-  fc.dead_rank = 2;  // width 8 = one group: no twin exists
+  // Width 8 = one group: dead rank 2 has no twin.
+  fc.deaths.push_back(faults::DeathPhase{2, 0.0});
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, 8));
   const auto reader = cff_reader();
   rt.run([&](simmpi::Comm& c) {

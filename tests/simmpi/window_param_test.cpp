@@ -38,7 +38,7 @@ TEST_P(WindowSweep, RandomizedGetsReturnExactBytes) {
           1 + rng.uniform_u64(std::min<std::size_t>(region_size, 256));
       const std::size_t offset = rng.uniform_u64(region_size - len + 1);
       ByteBuffer dst(len);
-      win.lock(target, LockType::Shared);
+      win.lock(target);
       win.get(MutableByteSpan(dst), target, offset);
       win.unlock(target);
       const ByteBuffer expect = pattern(target, region_size);
@@ -59,7 +59,7 @@ TEST_P(WindowSweep, ClockMonotoneThroughRandomizedAccess) {
     for (int trial = 0; trial < 20; ++trial) {
       const int target = (c.rank() + trial) % c.size();
       ByteBuffer dst(std::min<std::size_t>(64, region_size));
-      win.lock(target, LockType::Shared);
+      win.lock(target);
       win.get(MutableByteSpan(dst), target, 0);
       win.unlock(target);
       EXPECT_GT(c.clock().now(), last);

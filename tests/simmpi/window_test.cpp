@@ -27,7 +27,7 @@ TEST(Window, GetReadsRemoteMemory) {
 
     const int target = (c.rank() + 1) % c.size();
     ByteBuffer dst(256);
-    win.lock(target, LockType::Shared);
+    win.lock(target);
     win.get(MutableByteSpan(dst), target, 0);
     win.unlock(target);
 
@@ -44,7 +44,7 @@ TEST(Window, GetWithOffsetAndPartialLength) {
     const int target = 1 - c.rank();
 
     ByteBuffer dst(100);
-    win.lock(target, LockType::Shared);
+    win.lock(target);
     win.get(MutableByteSpan(dst), target, 500);
     win.unlock(target);
 
@@ -69,7 +69,7 @@ TEST(Window, GetvReadsEverySegmentInOneTransfer) {
         {900, MutableByteSpan(d)},
     };
     const double t0 = c.clock().now();
-    win.lock(target, LockType::Shared);
+    win.lock(target);
     win.getv(segs, target);
     win.unlock(target);
     const double vectored = c.clock().now() - t0;
@@ -82,7 +82,7 @@ TEST(Window, GetvReadsEverySegmentInOneTransfer) {
     // overhead three times; the vectored transfer pays it once plus two
     // cheap segment descriptors.
     const double t1 = c.clock().now();
-    win.lock(target, LockType::Shared);
+    win.lock(target);
     win.get(MutableByteSpan(a), target, 0);
     win.get(MutableByteSpan(b), target, 256);
     win.get(MutableByteSpan(d), target, 900);
@@ -105,7 +105,7 @@ TEST(Window, GetvChargeBytesOverridesTimingOnly) {
         {0, MutableByteSpan(small)}};
     const std::vector<Window::GetSegment> seg_big = {
         {0, MutableByteSpan(big)}};
-    win.lock(target, LockType::Shared);
+    win.lock(target);
     const double t0 = c.clock().now();
     win.getv(seg_small, target);
     const double cheap = c.clock().now() - t0;
@@ -128,7 +128,7 @@ TEST(Window, GetvAtPricesWithoutAdvancingTheClock) {
     ByteBuffer dst(64);
     const std::vector<Window::GetSegment> segs = {
         {128, MutableByteSpan(dst)}};
-    win.lock(target, LockType::Shared);
+    win.lock(target);
     const double now = c.clock().now();
     const double done = win.getv_at(segs, target, now + 1e-3);
     win.unlock(target);
@@ -149,7 +149,7 @@ TEST(Window, GetvOutOfBoundsThrows) {
                  ByteBuffer dst(32);
                  const std::vector<Window::GetSegment> segs = {
                      {40, MutableByteSpan(dst)}};  // 40+32 > 64
-                 win.lock(0, LockType::Shared);
+                 win.lock(0);
                  win.getv(segs, 0);
                  win.unlock(0);
                }),
@@ -175,7 +175,7 @@ TEST(Window, OutOfBoundsGetThrows) {
                  ByteBuffer local(64);
                  Window win(c, MutableByteSpan(local));
                  ByteBuffer dst(32);
-                 win.lock(0, LockType::Shared);
+                 win.lock(0);
                  win.get(MutableByteSpan(dst), 0, 40);  // 40+32 > 64
                  win.unlock(0);
                }),
@@ -200,13 +200,16 @@ TEST(Window, UnevenRegionSizes) {
     ByteBuffer local = pattern_buffer(c.rank(), (c.rank() + 1) * 100u);
     Window win(c, MutableByteSpan(local));
     for (int t = 0; t < 3; ++t) {
-      EXPECT_EQ(win.size_of(t), static_cast<std::size_t>(t + 1) * 100u);
+      // Each region reads back whole, and one byte more is out of bounds.
+      const std::size_t size = static_cast<std::size_t>(t + 1) * 100u;
+      ByteBuffer dst(size);
+      ByteBuffer past(size + 1);
+      win.lock(t);
+      win.get(MutableByteSpan(dst), t, 0);
+      EXPECT_THROW(win.get(MutableByteSpan(past), t, 0), DataError);
+      win.unlock(t);
+      EXPECT_EQ(dst, pattern_buffer(t, size));
     }
-    ByteBuffer dst(300);
-    win.lock(2, LockType::Shared);
-    win.get(MutableByteSpan(dst), 2, 0);
-    win.unlock(2);
-    EXPECT_EQ(dst, pattern_buffer(2, 300));
     win.fence();
   });
 }
@@ -221,65 +224,13 @@ TEST(Window, ConcurrentSharedReadsFromOneTarget) {
     const ByteBuffer expect = pattern_buffer(0, 4096);
     for (int iter = 0; iter < 50; ++iter) {
       ByteBuffer dst(64);
-      win.lock(0, LockType::Shared);
+      win.lock(0);
       win.get(MutableByteSpan(dst), 0, static_cast<std::size_t>(iter) * 64);
       win.unlock(0);
       EXPECT_EQ(0, std::memcmp(dst.data(),
                                expect.data() + iter * 64, 64));
     }
     win.fence();
-  });
-}
-
-TEST(Window, PutRequiresExclusiveAndWrites) {
-  Runtime rt(2, test_machine());
-  rt.run([](Comm& c) {
-    ByteBuffer local(16, std::byte{0});
-    Window win(c, MutableByteSpan(local));
-    win.fence();
-    if (c.rank() == 0) {
-      const ByteBuffer src(16, std::byte{0xab});
-      win.lock(1, LockType::Exclusive);
-      win.put(ByteSpan(src), 1, 0);
-      win.unlock(1);
-    }
-    win.fence();
-    if (c.rank() == 1) {
-      EXPECT_EQ(local[0], std::byte{0xab});
-      EXPECT_EQ(local[15], std::byte{0xab});
-    }
-  });
-}
-
-TEST(Window, PutWithSharedLockThrows) {
-  Runtime rt(2, test_machine());
-  EXPECT_THROW(rt.run([](Comm& c) {
-                 ByteBuffer local(8);
-                 Window win(c, MutableByteSpan(local));
-                 const ByteBuffer src(8);
-                 win.lock(0, LockType::Shared);
-                 win.put(ByteSpan(src), 0, 0);
-               }),
-               InternalError);
-}
-
-TEST(Window, AccumulateAddSumsContributions) {
-  Runtime rt(4, test_machine());
-  rt.run([](Comm& c) {
-    std::vector<double> local(4, 0.0);
-    Window win(c, MutableByteSpan(
-                      reinterpret_cast<std::byte*>(local.data()),
-                      local.size() * sizeof(double)));
-    win.fence();
-    // Every rank accumulates its rank id into rank 0's array.
-    const std::vector<double> contrib(4, static_cast<double>(c.rank()));
-    win.lock(0, LockType::Exclusive);
-    win.accumulate_add(std::span<const double>(contrib), 0, 0);
-    win.unlock(0);
-    win.fence();
-    if (c.rank() == 0) {
-      for (double v : local) EXPECT_DOUBLE_EQ(v, 0.0 + 1 + 2 + 3);
-    }
   });
 }
 
@@ -293,14 +244,14 @@ TEST(Window, RemoteGetChargesMoreVirtualTimeThanLocal) {
     ByteBuffer dst(1024);
 
     double t0 = c.clock().now();
-    win.lock(c.rank(), LockType::Shared);
+    win.lock(c.rank());
     win.get(MutableByteSpan(dst), c.rank(), 0);
     win.unlock(c.rank());
     local_cost[c.rank()] = c.clock().now() - t0;
 
     const int far = (c.rank() + 4) % 8;  // different node (4 GPUs/node)
     t0 = c.clock().now();
-    win.lock(far, LockType::Shared);
+    win.lock(far);
     win.get(MutableByteSpan(dst), far, 0);
     win.unlock(far);
     remote_cost[c.rank()] = c.clock().now() - t0;
@@ -321,7 +272,7 @@ TEST(Window, WindowOverSubcommunicator) {
     // Read from group-neighbour: world rank differs per group.
     const int t = (group.rank() + 1) % group.size();
     ByteBuffer dst(128);
-    win.lock(t, LockType::Shared);
+    win.lock(t);
     win.get(MutableByteSpan(dst), t, 0);
     win.unlock(t);
     const int expected_world = (c.rank() / 4) * 4 + (c.rank() + 1) % 4;
@@ -335,55 +286,53 @@ TEST(Window, FenceWithOpenEpochThrows) {
   EXPECT_THROW(rt.run([](Comm& c) {
                  ByteBuffer local(8);
                  Window win(c, MutableByteSpan(local));
-                 win.lock(0, LockType::Shared);
+                 win.lock(0);
                  win.fence();
                }),
                InternalError);
 }
 
-TEST(Window, FreeIsCollectiveAndIdempotentPerWindow) {
+TEST(Window, EpochMisuseThrows) {
+  // The epoch checks that stay with shared-only epochs: an unlock without a
+  // lock and a second lock on the same target are both caught.
   Runtime rt(2, test_machine());
   rt.run([](Comm& c) {
     ByteBuffer local(8);
     Window win(c, MutableByteSpan(local));
-    win.free();
+    EXPECT_THROW(win.unlock(0), InternalError);
+    win.lock(0);
+    EXPECT_THROW(win.lock(0), InternalError);
+    win.unlock(0);
+    EXPECT_THROW(win.unlock(0), InternalError);
+    win.fence();
   });
 }
 
-TEST(Window, HolderFailureReleasesParkedLockRequests) {
-  // Rank 0 takes an exclusive epoch, tells rank 1, and parks in recv;
-  // rank 1 answers, then requests the same region and parks behind the
-  // held lock; rank 0 wakes and throws without unlocking.  The abort must
-  // wake rank 1 with the region still held (AbortedError), the holder's own
-  // error must surface from run(), and the runtime must stay usable — for
-  // a shared and for an exclusive request.
-  for (const LockType request : {LockType::Shared, LockType::Exclusive}) {
-    Runtime rt(2, test_machine());
-    bool waiter_aborted = false;
-    EXPECT_THROW(rt.run([&](Comm& c) {
-                   ByteBuffer local(64);
-                   Window win(c, MutableByteSpan(local));
-                   const std::vector<int> token{1};
-                   if (c.rank() == 0) {
-                     win.lock(0, LockType::Exclusive);
-                     c.send(std::span<const int>(token), 1, /*tag=*/1);
-                     c.recv<int>(1, /*tag=*/2);
-                     throw IoError("holder failed");
-                   }
-                   c.recv<int>(0, /*tag=*/1);
-                   c.send(std::span<const int>(token), 0, /*tag=*/2);
-                   try {
-                     win.lock(0, request);
-                   } catch (const AbortedError&) {
-                     waiter_aborted = true;
-                     throw;
-                   }
-                   ADD_FAILURE() << "lock granted while the holder held it";
-                 }),
-                 IoError);
-    EXPECT_TRUE(waiter_aborted);
-    rt.run([](Comm& c) { c.barrier(); });
-  }
+TEST(Window, SharedEpochsNeverYield) {
+  // The one-wait-point contract: a shared epoch and the gets inside it never
+  // park a rank, so 8 ranks taking 16 epochs each on rank 0 switch fibers
+  // exactly as often as a run that only creates and fences the window.
+  constexpr int kRanks = 8;
+  constexpr int kEpochs = 16;
+  const auto switches = [](bool with_epochs) {
+    Runtime rt(kRanks, test_machine());
+    rt.run([&](Comm& c) {
+      ByteBuffer local = pattern_buffer(c.rank(), 64);
+      Window win(c, MutableByteSpan(local));
+      const ByteBuffer expect = pattern_buffer(0, 64);
+      for (int i = 0; with_epochs && i < kEpochs; ++i) {
+        const std::size_t offset = 8u * static_cast<std::size_t>(i % 8);
+        ByteBuffer dst(8);
+        win.lock(0);
+        win.get(MutableByteSpan(dst), 0, offset);
+        win.unlock(0);
+        EXPECT_EQ(0, std::memcmp(dst.data(), expect.data() + offset, 8));
+      }
+      win.fence();
+    });
+    return rt.fiber_scheduler()->switch_count();
+  };
+  EXPECT_EQ(switches(true), switches(false));
 }
 
 }  // namespace

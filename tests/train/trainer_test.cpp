@@ -82,7 +82,7 @@ TEST_F(TrainTest, SimulatedTrainerEpochReportSane) {
     EXPECT_GT(report.mean_profile.get(Phase::Forward), 0.0);
     EXPECT_GT(report.mean_profile.get(Phase::GradComm), 0.0);
     // All ranks agree on the report.
-    const auto t = c.allgather(report.epoch_seconds);
+    const auto t = c.allgather_untimed(report.epoch_seconds);
     for (const double v : t) EXPECT_DOUBLE_EQ(v, report.epoch_seconds);
   });
 }
@@ -190,7 +190,7 @@ TEST_F(TrainTest, RealTrainerReplicasStayIdentical) {
     for (const auto& p : params) {
       for (const float v : *p.value) checksum += v;
     }
-    const auto sums = c.allgather(checksum);
+    const auto sums = c.allgather_untimed(checksum);
     EXPECT_FLOAT_EQ(sums[0], sums[1]);
   });
 }
