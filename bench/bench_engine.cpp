@@ -2,9 +2,10 @@
 //
 // Each cell runs N simulated ranks — stackful fibers on one OS thread —
 // through K scheduler-heavy steps: an allreduce, an untimed allgather of one
-// double (the exchange StepPipeline runs twice per training step), and a
-// barrier; every op waits in the communicator's barrier, the engine's one
-// wait point.  It reports wall-clock rank-steps per second, the modeled
+// double (the benches' per-rank wall-time exchange), and a barrier; every op
+// waits in the communicator's barrier, the engine's one wait point.  A run
+// makes exactly N + B·(N−1) fiber switches for B barriers: every rank
+// starts once, and all but the last arriver park once per barrier.  It reports wall-clock rank-steps per second, the modeled
 // virtual seconds and the fiber switch count; the last two are
 // bit-identical run to run.
 //

@@ -1,6 +1,7 @@
-// Locality-aware batch scheduling (ROADMAP item 2): remote traffic and
-// modeled epoch time of OwnerGreedy assignment matching vs the plain
-// global shuffle, swept over width and batch size.
+// Locality-aware batch scheduling (DESIGN.md, "Locality-aware batch
+// scheduling (`src/sched`)"): remote traffic and modeled epoch time of
+// OwnerGreedy assignment matching vs the plain global shuffle, swept over
+// width and batch size.
 //
 // The scheduler (src/sched) re-matches each global batch's sample->rank
 // assignment onto owning ranks.  The per-batch multiset is untouched, so

@@ -1,6 +1,5 @@
 #include "elastic/driver.hpp"
 
-#include <algorithm>
 #include <array>
 
 #include "elastic/executor.hpp"
@@ -58,20 +57,12 @@ void ElasticDriver::recover_faults() {
   for (int t = 0; t < n; ++t) {
     score[static_cast<std::size_t>(t)] = store_.health_score(t);
   }
-  const std::vector<double> all =
-      comm.allgatherv_untimed(std::span<const double>(score));
-  for (int r = 0; r < n; ++r) {
-    for (int t = 0; t < n; ++t) {
-      score[static_cast<std::size_t>(t)] =
-          std::min(score[static_cast<std::size_t>(t)],
-                   all[static_cast<std::size_t>(r * n + t)]);
-    }
-  }
+  comm.allreduce_inplace_untimed(std::span<double>(score), simmpi::Op::Min);
 
   // Confirm against ground truth at a uniform time (ranks' clocks differ;
   // the max is the same everywhere, so the verdicts agree).
-  const std::vector<double> clocks = comm.allgather_untimed(comm.clock().now());
-  const double now = *std::max_element(clocks.begin(), clocks.end());
+  const double now =
+      comm.allreduce_untimed(comm.clock().now(), simmpi::Op::Max);
 
   for (int t = 0; t < n; ++t) {
     if (score[static_cast<std::size_t>(t)] >= config_.suspect_below) continue;
@@ -100,21 +91,17 @@ WidthObservation ElasticDriver::observe(double epoch_seconds) {
 
   // Cross-rank aggregation, untimed: the controller must see one global
   // observation, not this rank's slice.
-  const std::array<double, 4> mine = {
+  std::array<double, 4> sums = {
       static_cast<double>(delta_of(metrics, now, last_counters_, "local_gets")),
       static_cast<double>(
           delta_of(metrics, now, last_counters_, "remote_gets")),
       static_cast<double>(delta_of(metrics, now, last_counters_, "cache_hits")),
       fetch_seconds};
   simmpi::Comm& comm = store_.comm();
-  const std::vector<double> gathered =
-      comm.allgatherv_untimed(std::span<const double>(mine));
-  std::array<double, 4> sums = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < gathered.size(); ++i) sums[i % 4] += gathered[i];
-  const std::vector<double> epochs = comm.allgather_untimed(epoch_seconds);
+  comm.allreduce_inplace_untimed(std::span<double>(sums), simmpi::Op::Sum);
 
   WidthObservation obs;
-  obs.epoch_seconds = *std::max_element(epochs.begin(), epochs.end());
+  obs.epoch_seconds = comm.allreduce_untimed(epoch_seconds, simmpi::Op::Max);
   obs.fetch_seconds = sums[3];
   obs.local_gets = static_cast<std::uint64_t>(sums[0]);
   obs.remote_gets = static_cast<std::uint64_t>(sums[1]);

@@ -1,5 +1,5 @@
-// Locality-aware batch assignment (ROADMAP item 2; GSplit-style
-// co-scheduling).
+// Locality-aware batch assignment (DESIGN.md, "Locality-aware batch
+// scheduling (`src/sched`)"; GSplit-style co-scheduling).
 //
 // The global-shuffle sampler hands every rank a uniformly random slice of
 // each global batch, so at replica width w roughly (w-1)/w of every batch

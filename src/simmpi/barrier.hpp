@@ -49,6 +49,11 @@ class Barrier {
 
   int parties() const { return parties_; }
 
+  /// Number of completed rounds.  Every rank released by one round reads
+  /// the same value until the next round completes, so Comm::exchange
+  /// tags its shared result with it.
+  std::uint64_t generation() const { return generation_; }
+
  private:
   const int parties_;
   int count_ = 0;

@@ -37,8 +37,26 @@ void Comm::finish(double max_start, std::size_t bytes) {
 
 void Comm::sync_clocks(std::size_t bytes) {
   deposit(nullptr, 0);
-  const double start = read_phase([](int) {});
-  finish(start, bytes);
+  finish(exchange([] {}, [] {}), bytes);
+}
+
+void Comm::concatenate_slots() {
+  detail::CommShared& cs = *shared_;
+  detail::ExchangeResult& res = cs.result;
+  const auto n = static_cast<std::size_t>(size());
+  res.counts.assign(cs.size_slots.begin(), cs.size_slots.end());
+  res.max_bytes = 0;
+  std::size_t total = 0;
+  for (const std::size_t bytes : res.counts) {
+    total += bytes;
+    res.max_bytes = std::max(res.max_bytes, bytes);
+  }
+  res.bytes.resize(total);
+  std::byte* out = res.bytes.data();
+  for (std::size_t r = 0; r < n; ++r) {
+    if (res.counts[r] != 0) std::memcpy(out, cs.slots[r], res.counts[r]);
+    out += res.counts[r];
+  }
 }
 
 Comm Comm::split(int color, int key) {
@@ -50,25 +68,46 @@ Comm Comm::split(int color, int key) {
   const Entry mine{color, key, rank_};
   deposit(&mine, sizeof(Entry));
 
-  std::vector<int> members;       // parent-comm ranks of my group, ordered
-  const double start = read_phase([&](int nranks) {
-    std::vector<Entry> all(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      std::memcpy(&all[static_cast<std::size_t>(r)], shared_->slots[r],
-                  sizeof(Entry));
-    }
-    std::vector<Entry> group;
-    for (const auto& e : all) {
-      if (e.color == color) group.push_back(e);
-    }
-    std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-      return std::tie(a.key, a.rank) < std::tie(b.key, b.rank);
-    });
-    members.reserve(group.size());
-    for (const auto& e : group) members.push_back(e.rank);
-  });
+  // `once` sorts every rank's entry by (color, key, rank), so each group is
+  // one run, and records per rank where its run begins and its position in
+  // it.  The leader copies its run out to build the sub-communicator.
+  detail::ExchangeResult& res = shared_->result;
+  const auto n = static_cast<std::size_t>(size());
+  int leader = 0;
+  int my_pos = 0;
+  std::vector<int> members;  // the leader's group, in parent-comm ranks
+  const double start = exchange(
+      [&] {
+        res.bytes.resize(n * sizeof(Entry));
+        auto* sorted = reinterpret_cast<Entry*>(res.bytes.data());
+        for (std::size_t r = 0; r < n; ++r) {
+          std::memcpy(&sorted[r], shared_->slots[r], sizeof(Entry));
+        }
+        std::sort(sorted, sorted + n, [](const Entry& a, const Entry& b) {
+          return std::tie(a.color, a.key, a.rank) <
+                 std::tie(b.color, b.key, b.rank);
+        });
+        res.counts.resize(2 * n);
+        std::size_t begin = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (sorted[i].color != sorted[begin].color) begin = i;
+          const auto r = static_cast<std::size_t>(sorted[i].rank);
+          res.counts[2 * r] = begin;
+          res.counts[2 * r + 1] = i - begin;
+        }
+      },
+      [&] {
+        const auto* sorted = reinterpret_cast<const Entry*>(res.bytes.data());
+        const auto me = static_cast<std::size_t>(rank_);
+        const std::size_t begin = res.counts[2 * me];
+        leader = sorted[begin].rank;
+        my_pos = static_cast<int>(res.counts[2 * me + 1]);
+        if (rank_ != leader) return;
+        for (std::size_t i = begin; i < n && sorted[i].color == color; ++i) {
+          members.push_back(sorted[i].rank);
+        }
+      });
 
-  const int leader = members.front();
   if (rank_ == leader) {
     std::vector<int> world;
     world.reserve(members.size());
@@ -85,25 +124,18 @@ Comm Comm::split(int color, int key) {
   if (rank_ == leader) shared_->publish[static_cast<std::size_t>(rank_)].reset();
 
   finish(start, sizeof(Entry));
-  const auto my_pos = static_cast<int>(
-      std::find(members.begin(), members.end(), rank_) - members.begin());
   return Comm(std::move(sub), my_pos);
 }
 
 std::shared_ptr<void> Comm::share_ptr(
     int root, const std::function<std::shared_ptr<void>()>& make) {
   DDS_CHECK(root >= 0 && root < size());
-  auto& cs = *shared_;
+  auto& slot = shared_->any_publish[static_cast<std::size_t>(root)];
   deposit(nullptr, 0);
-  if (rank_ == root) {
-    cs.any_publish[static_cast<std::size_t>(root)] = make();
-  }
-  cs.barrier.arrive_and_wait();
-  double start = 0.0;
-  for (double t : cs.clock_slots) start = std::max(start, t);
-  auto ptr = cs.any_publish[static_cast<std::size_t>(root)];
-  cs.barrier.arrive_and_wait();
-  if (rank_ == root) cs.any_publish[static_cast<std::size_t>(root)].reset();
+  if (rank_ == root) slot = make();
+  std::shared_ptr<void> ptr;
+  const double start = exchange([] {}, [&] { ptr = slot; });
+  if (rank_ == root) slot.reset();
   finish(start, sizeof(void*));
   return ptr;
 }

@@ -14,6 +14,14 @@
 // blocking op is the communicator's Barrier, which every collective runs
 // through; window epochs and gets never wait.
 //
+// Every collective is one exchange step (Comm::exchange): each rank
+// deposits its contribution, and after the first barrier one rank computes
+// the start time and the result once, in rank order — a reduction folds
+// slots 0..N-1, a gather concatenates them — while every rank copies the
+// result out before the second barrier.  So a collective over N ranks
+// costs O(N) host work, not O(N²), and a reduction gives every rank the
+// same bits.
+//
 // Usage:
 //   Runtime rt(8, model::perlmutter());
 //   rt.run([&](Comm& world) {
@@ -67,6 +75,17 @@ T apply_op(Op op, T a, T b) {
   throw InternalError("unknown Op");
 }
 
+/// One exchange's result, computed once by the first rank to run after the
+/// exchange's first barrier (Comm::exchange) and copied out by every rank.
+/// Its buffers keep their capacity from one exchange to the next.
+struct ExchangeResult {
+  std::uint64_t generation = 0;  ///< barrier generation it was computed in
+  double start = 0.0;            ///< max deposit time: the collective's start
+  ByteBuffer bytes;              ///< the fold or the rank-order concatenation
+  std::vector<std::size_t> counts;  ///< per-rank byte counts (or split's table)
+  std::size_t max_bytes = 0;        ///< largest single contribution
+};
+
 /// State shared by all member ranks of one communicator.
 struct CommShared {
   CommShared(Runtime* rt, std::vector<int> world, AbortFlag* abort,
@@ -90,8 +109,9 @@ struct CommShared {
   std::vector<ByteBuffer> slot_storage;  ///< backing bytes for `slots`
   std::vector<std::size_t> size_slots;
   std::vector<double> clock_slots;
+  ExchangeResult result;
   std::vector<std::shared_ptr<CommShared>> publish;  ///< for split()
-  std::vector<std::shared_ptr<void>> any_publish;    ///< for Window::create
+  std::vector<std::shared_ptr<void>> any_publish;  ///< share_ptr(), Window
 };
 
 }  // namespace detail
@@ -127,29 +147,19 @@ class Comm {
 
   template <typename T>
   T allreduce(T value, Op op) {
-    T result = value;
-    allreduce_inplace(std::span<T>(&result, 1), op);
-    return result;
+    allreduce_inplace(std::span<T>(&value, 1), op);
+    return value;
   }
 
+  /// Element-wise reduction.  Every rank gets the same bits: the slots are
+  /// folded once, in rank order (see exchange).  Throws InternalError (on
+  /// every rank) unless all ranks pass the same length.
   template <typename T>
     requires TriviallySerializable<T>
   void allreduce_inplace(std::span<T> data, Op op) {
     const double t0 = clock_now();
-    // deposit() snapshots the *input*, so folding into `data` in place is
-    // safe while peers read the published snapshot.
-    deposit(data.data(), data.size() * sizeof(T));
-    const double done = read_phase([&](int nranks) {
-      for (int r = 0; r < nranks; ++r) {
-        if (r == rank_) continue;
-        const T* theirs = static_cast<const T*>(shared_->slots[r]);
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          data[i] = detail::apply_op(op, data[i], theirs[i]);
-        }
-      }
-    });
-    finish(done, data.size() * sizeof(T));
-    trace_collective("allreduce", t0, data.size() * sizeof(T));
+    finish(reduce(data, op), data.size_bytes());
+    trace_collective("allreduce", t0, data.size_bytes());
   }
 
   /// Variable-count allgather; fills `counts` (per-rank element counts)
@@ -159,52 +169,26 @@ class Comm {
   std::vector<T> allgatherv(std::span<const T> mine,
                             std::vector<std::size_t>* counts = nullptr) {
     const double t0 = clock_now();
-    deposit(mine.data(), mine.size() * sizeof(T));
     std::vector<T> out;
     std::size_t max_bytes = 0;
-    const double done = read_phase([&](int nranks) {
-      std::size_t total = 0;
-      for (int r = 0; r < nranks; ++r) {
-        total += shared_->size_slots[static_cast<std::size_t>(r)] / sizeof(T);
-        max_bytes =
-            std::max(max_bytes, shared_->size_slots[static_cast<std::size_t>(r)]);
-      }
-      out.reserve(total);
-      if (counts != nullptr) counts->assign(static_cast<std::size_t>(nranks), 0);
-      for (int r = 0; r < nranks; ++r) {
-        const auto bytes = shared_->size_slots[static_cast<std::size_t>(r)];
-        const auto n = bytes / sizeof(T);
-        const T* p = static_cast<const T*>(shared_->slots[r]);
-        out.insert(out.end(), p, p + n);
-        if (counts != nullptr) (*counts)[static_cast<std::size_t>(r)] = n;
-      }
-    });
-    finish(done, max_bytes);
+    finish(concatenate(mine, out, counts, &max_bytes), max_bytes);
     trace_collective("allgatherv", t0, max_bytes);
     return out;
   }
 
   /// allgather that does NOT advance virtual clocks — for simulation
-  /// harnesses that exchange bookkeeping (e.g. per-rank GPU completion
-  /// times).  Untimed is not unperturbed: like every collective it is a
-  /// barrier, and the last rank to arrive runs on without yielding while
-  /// the scheduler's scan resumes after it, so each exchange changes which
-  /// rank runs first afterwards.  BusyResource (model/clock.hpp) charges a
-  /// bucket's earlier deposits to whichever rank acquires later, so adding
-  /// or removing an untimed exchange can shift later modeled times.  It
-  /// never changes counters or payload bytes.
+  /// harnesses that exchange bookkeeping.  Untimed is not unperturbed:
+  /// like every collective it is a barrier, and the last rank to arrive
+  /// runs on without yielding while the scheduler's scan resumes after it,
+  /// so each exchange changes which rank runs first afterwards.
+  /// BusyResource (model/clock.hpp) charges a bucket's earlier deposits to
+  /// whichever rank acquires later, so adding or removing an untimed
+  /// exchange can shift later modeled times.  It never changes counters or
+  /// payload bytes.
   template <typename T>
     requires TriviallySerializable<T>
   std::vector<T> allgather_untimed(const T& value) {
-    deposit(&value, sizeof(T));
-    std::vector<T> out(static_cast<std::size_t>(size()));
-    read_phase([&](int nranks) {
-      for (int r = 0; r < nranks; ++r) {
-        std::memcpy(&out[static_cast<std::size_t>(r)], shared_->slots[r],
-                    sizeof(T));
-      }
-    });
-    return out;
+    return allgatherv_untimed(std::span<const T>(&value, 1));
   }
 
   /// Variable-count allgather that does NOT advance virtual clocks — the
@@ -214,51 +198,28 @@ class Comm {
   template <typename T>
     requires TriviallySerializable<T>
   std::vector<T> allgatherv_untimed(std::span<const T> mine) {
-    deposit(mine.data(), mine.size() * sizeof(T));
     std::vector<T> out;
-    read_phase([&](int nranks) {
-      std::size_t total = 0;
-      for (int r = 0; r < nranks; ++r) {
-        total += shared_->size_slots[static_cast<std::size_t>(r)] / sizeof(T);
-      }
-      out.reserve(total);
-      for (int r = 0; r < nranks; ++r) {
-        const auto n =
-            shared_->size_slots[static_cast<std::size_t>(r)] / sizeof(T);
-        const T* p = static_cast<const T*>(shared_->slots[r]);
-        out.insert(out.end(), p, p + n);
-      }
-    });
+    concatenate(mine, out, nullptr);
     return out;
   }
 
   /// Element-wise reduction that does NOT advance virtual clocks — the
-  /// reducing analogue of allgatherv_untimed, for summing per-rank metric
-  /// deltas without holding every rank's copy (it reorders the fiber
-  /// schedule the same way; see allgather_untimed).  Every rank folds the
-  /// published snapshots in rank order, so all ranks get the same result.
-  /// Throws InternalError (on every rank) unless all ranks pass the same
-  /// length.
+  /// untimed twin of allreduce_inplace, for summing per-rank metric deltas
+  /// (it reorders the fiber schedule the same way; see allgather_untimed).
+  /// The fold and its length check are allreduce_inplace's.
   template <typename T>
     requires TriviallySerializable<T>
   void allreduce_inplace_untimed(std::span<T> data, Op op) {
-    const std::size_t bytes = data.size() * sizeof(T);
-    deposit(data.data(), bytes);
-    read_phase([&](int nranks) {
-      for (int r = 0; r < nranks; ++r) {
-        DDS_CHECK_MSG(shared_->size_slots[static_cast<std::size_t>(r)] == bytes,
-                      "allreduce_inplace_untimed: ranks passed unequal "
-                      "lengths");
-      }
-      if (bytes == 0) return;
-      std::memcpy(data.data(), shared_->slots[0], bytes);
-      for (int r = 1; r < nranks; ++r) {
-        const T* theirs = static_cast<const T*>(shared_->slots[r]);
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          data[i] = detail::apply_op(op, data[i], theirs[i]);
-        }
-      }
-    });
+    (void)reduce(data, op);
+  }
+
+  /// One-value reduction that does NOT advance virtual clocks — the untimed
+  /// twin of allreduce, e.g. for the latest completion time across ranks.
+  template <typename T>
+    requires TriviallySerializable<T>
+  T allreduce_untimed(T value, Op op) {
+    allreduce_inplace_untimed(std::span<T>(&value, 1), op);
+    return value;
   }
 
   /// Variable-count gather to `root` only: root receives the concatenation
@@ -268,25 +229,24 @@ class Comm {
   std::vector<T> gatherv(std::span<const T> mine, int root,
                          std::vector<std::size_t>* counts = nullptr) {
     const double t0 = clock_now();
-    deposit(mine.data(), mine.size() * sizeof(T));
+    deposit(mine.data(), mine.size_bytes());
     std::vector<T> out;
-    const double done = read_phase([&](int nranks) {
+    const double start = exchange([] {}, [&] {
       if (rank_ != root) return;
+      const auto n = static_cast<std::size_t>(size());
       std::size_t total = 0;
-      for (int r = 0; r < nranks; ++r) {
-        total += shared_->size_slots[static_cast<std::size_t>(r)] / sizeof(T);
-      }
-      out.reserve(total);
-      if (counts != nullptr) counts->assign(static_cast<std::size_t>(nranks), 0);
-      for (int r = 0; r < nranks; ++r) {
-        const auto n = shared_->size_slots[static_cast<std::size_t>(r)] / sizeof(T);
+      for (std::size_t r = 0; r < n; ++r) total += shared_->size_slots[r];
+      out.reserve(total / sizeof(T));
+      if (counts != nullptr) counts->assign(n, 0);
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t k = shared_->size_slots[r] / sizeof(T);
         const T* p = static_cast<const T*>(shared_->slots[r]);
-        out.insert(out.end(), p, p + n);
-        if (counts != nullptr) (*counts)[static_cast<std::size_t>(r)] = n;
+        out.insert(out.end(), p, p + k);
+        if (counts != nullptr) (*counts)[r] = k;
       }
     });
-    finish(done, mine.size() * sizeof(T));
-    trace_collective("gatherv", t0, mine.size() * sizeof(T));
+    finish(start, mine.size_bytes());
+    trace_collective("gatherv", t0, mine.size_bytes());
     return out;
   }
 
@@ -313,10 +273,10 @@ class Comm {
       : shared_(std::move(shared)), rank_(rank) {}
 
   /// Publishes this rank's contribution by *copying* it into storage owned
-  /// by the CommShared.  Peers read `slots` between the two barriers of
-  /// read_phase(); on abort a rank can unwind out of the second barrier —
-  /// destroying its stack frame — while a slower peer is still reading, so
-  /// a slot must never point at rank-local memory.
+  /// by the CommShared.  The slots are read inside exchange(); if the
+  /// reading rank's `once` throws, every peer reruns it after this rank may
+  /// have unwound — destroying its stack frame — so a slot must never
+  /// point at rank-local memory.
   void deposit(const void* ptr, std::size_t bytes) {
     auto& storage = shared_->slot_storage[static_cast<std::size_t>(rank_)];
     // Keep data() non-null even for empty payloads: readers form
@@ -339,17 +299,88 @@ class Comm {
     shared_->clock_slots[static_cast<std::size_t>(rank_)] = clock_now();
   }
 
-  /// Runs `fn` between the two barriers of an exchange; returns the max
-  /// deposit-time across ranks (the collective's start time).
-  template <typename F>
-  double read_phase(F&& fn) {
-    shared_->barrier.arrive_and_wait();
-    double start = 0.0;
-    for (double t : shared_->clock_slots) start = std::max(start, t);
-    fn(size());
-    shared_->barrier.arrive_and_wait();
+  /// The one exchange step every collective runs, between its two
+  /// barriers.  The first rank to run after the first barrier — in the
+  /// fiber engine the last to arrive, before any peer resumes — computes
+  /// the start time (the max deposit time) and runs `once`, which reads
+  /// the slots and writes the result into the CommShared.  The result is
+  /// marked current only after `once` returns, so a check that throws in
+  /// `once` throws again on every rank.  Then every rank runs `each`,
+  /// which copies the result out.  So one exchange costs O(N) reads of the
+  /// slots, not O(N²), and every rank gets the same bits.  Returns the
+  /// start time.
+  template <typename Once, typename Each>
+  double exchange(Once&& once, Each&& each) {
+    auto& cs = *shared_;
+    cs.barrier.arrive_and_wait();
+    if (cs.result.generation != cs.barrier.generation()) {
+      double start = 0.0;
+      for (const double t : cs.clock_slots) start = std::max(start, t);
+      cs.result.start = start;
+      once();
+      cs.result.generation = cs.barrier.generation();
+    }
+    each();
+    const double start = cs.result.start;
+    cs.barrier.arrive_and_wait();
     return start;
   }
+
+  /// Deposits `data` and folds every rank's copy into it, in rank order.
+  /// Returns the exchange's start time.
+  template <typename T>
+  double reduce(std::span<T> data, Op op) {
+    const std::size_t bytes = data.size_bytes();
+    deposit(data.data(), bytes);
+    ByteBuffer& result = shared_->result.bytes;
+    return exchange(
+        [&] {
+          const auto n = static_cast<std::size_t>(size());
+          for (std::size_t r = 0; r < n; ++r) {
+            DDS_CHECK_MSG(shared_->size_slots[r] == bytes,
+                          "allreduce: ranks passed unequal lengths");
+          }
+          result.resize(bytes);
+          if (bytes == 0) return;
+          std::memcpy(result.data(), shared_->slots[0], bytes);
+          T* acc = reinterpret_cast<T*>(result.data());
+          for (std::size_t r = 1; r < n; ++r) {
+            const T* theirs = static_cast<const T*>(shared_->slots[r]);
+            for (std::size_t i = 0; i < data.size(); ++i) {
+              acc[i] = detail::apply_op(op, acc[i], theirs[i]);
+            }
+          }
+        },
+        [&] {
+          if (bytes != 0) std::memcpy(data.data(), result.data(), bytes);
+        });
+  }
+
+  /// Deposits `mine` and sets `out` to every rank's contribution in rank
+  /// order; `counts` and `max_bytes`, when non-null, receive the per-rank
+  /// element counts and the largest contribution's bytes.  Returns the
+  /// exchange's start time.
+  template <typename T>
+  double concatenate(std::span<const T> mine, std::vector<T>& out,
+                     std::vector<std::size_t>* counts,
+                     std::size_t* max_bytes = nullptr) {
+    deposit(mine.data(), mine.size_bytes());
+    const detail::ExchangeResult& res = shared_->result;
+    return exchange([this] { concatenate_slots(); }, [&] {
+      const T* p = reinterpret_cast<const T*>(res.bytes.data());
+      out.assign(p, p + res.bytes.size() / sizeof(T));
+      if (max_bytes != nullptr) *max_bytes = res.max_bytes;
+      if (counts == nullptr) return;
+      counts->resize(res.counts.size());
+      for (std::size_t r = 0; r < res.counts.size(); ++r) {
+        (*counts)[r] = res.counts[r] / sizeof(T);
+      }
+    });
+  }
+
+  /// `once` of the concatenating collectives: copies the slots into
+  /// `result` in rank order and records each one's byte count.
+  void concatenate_slots();
 
   void finish(double max_start, std::size_t bytes);
   void sync_clocks(std::size_t bytes);

@@ -12,27 +12,26 @@ Window::Window(Comm& comm, MutableByteSpan local,
 
   // Registration (MPI_Win_create) is collective: exchange region pointers.
   // deposit_raw, not deposit: the slots must carry the real region
-  // addresses, not a snapshot copy.
+  // addresses, not a snapshot copy.  The region table is built once and
+  // every member takes the same one.
   comm_.deposit_raw(local.data(), local.size());
-  cs.barrier.arrive_and_wait();
-  double start = 0.0;
-  for (double t : cs.clock_slots) start = std::max(start, t);
-  if (comm_.rank() == 0) {
-    auto ws = std::make_shared<detail::WindowShared>(
-        static_cast<std::size_t>(comm_.size()));
-    for (int r = 0; r < comm_.size(); ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      ws->regions[ri] = MutableByteSpan(
-          static_cast<std::byte*>(const_cast<void*>(cs.slots[ri])),
-          cs.size_slots[ri]);
-    }
-    cs.any_publish[0] = ws;
-  }
-  cs.barrier.arrive_and_wait();
-  shared_ = std::static_pointer_cast<detail::WindowShared>(cs.any_publish[0]);
+  auto& table = cs.any_publish[0];
+  const double start = comm_.exchange(
+      [&] {
+        auto ws = std::make_shared<detail::WindowShared>(
+            static_cast<std::size_t>(comm_.size()));
+        for (std::size_t r = 0; r < ws->regions.size(); ++r) {
+          ws->regions[r] = MutableByteSpan(
+              static_cast<std::byte*>(const_cast<void*>(cs.slots[r])),
+              cs.size_slots[r]);
+        }
+        table = std::move(ws);
+      },
+      [&] { shared_ = std::static_pointer_cast<detail::WindowShared>(table); });
   shared_->keepalives[me] = std::move(keepalive);
+  // Every member has registered its keepalive before any member returns.
   cs.barrier.arrive_and_wait();
-  if (comm_.rank() == 0) cs.any_publish[0].reset();
+  if (comm_.rank() == 0) table.reset();
 
   comm_.finish(start, sizeof(void*));
 }

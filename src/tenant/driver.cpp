@@ -93,11 +93,9 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
 
     // Wall time the tenant experienced: its last step's completion, maxed
     // across ranks (untimed exchange — the clock already drained).
-    double local_done = pipelines_[static_cast<std::size_t>(k)].gpu_free();
-    for (const double d : comm_.allgather_untimed(local_done)) {
-      local_done = std::max(local_done, d);
-    }
-    r.epoch_seconds = local_done - epoch_begin;
+    const double done = comm_.allreduce_untimed(
+        pipelines_[static_cast<std::size_t>(k)].gpu_free(), simmpi::Op::Max);
+    r.epoch_seconds = done - epoch_begin;
     r.throughput = r.epoch_seconds > 0
                        ? static_cast<double>(r.global_samples) / r.epoch_seconds
                        : 0.0;

@@ -1,11 +1,11 @@
 // Multi-tenant serving: N independent training jobs over ONE DDStore.
 //
-// The "millions of users" version of DDStore (ROADMAP item 2, after
-// Atompack's shared-distribution-layer framing and FanStore's
-// many-clients-one-footprint result) is N trainers — different shuffles,
-// batch sizes, even different datasets mounted side by side — hitting one
-// shared store.  The tenant layer adds exactly the state that must be
-// per-job and shares everything else:
+// The "millions of users" version of DDStore (DESIGN.md, "Multi-tenant
+// serving (`src/tenant`)"; after Atompack's shared-distribution-layer
+// framing and FanStore's many-clients-one-footprint result) is N trainers
+// — different shuffles, batch sizes, even different datasets mounted side
+// by side — hitting one shared store.  The tenant layer adds exactly the
+// state that must be per-job and shares everything else:
 //
 //   per-tenant:  shuffle sampler, dataset mount (an id range of the
 //                shared store), batch size, labeled metrics +

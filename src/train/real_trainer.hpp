@@ -5,7 +5,9 @@
 // AdamW with default parameters, initial LR 1e-3, ReduceLROnPlateau on the
 // validation loss, MSE loss.  Gradients are all-reduced and averaged
 // across ranks each step (DDP, Fig. 1 steps iv-v); each rank starts from
-// the same seed, so replicas stay bit-identical without a broadcast.
+// the same seed and the all-reduce hands every rank the same bits (one
+// fold in rank order, simmpi::Comm::allreduce_inplace), so replicas stay
+// bit-identical without a broadcast, at any rank count.
 #pragma once
 
 #include "gnn/model.hpp"

@@ -38,12 +38,7 @@ void StepPipeline::step() {
   // at the same instant on every rank, so loader timelines re-align here.
   // (This also keeps virtual-clock skew bounded, which the shared-resource
   // queueing model requires — see BusyResource's contract.)
-  {
-    const auto cpu_now = comm_.allgather_untimed(clock.now());
-    double max_cpu = clock.now();
-    for (const double t : cpu_now) max_cpu = std::max(max_cpu, t);
-    clock.advance_to(max_cpu);
-  }
+  clock.advance_to(comm_.allreduce_untimed(clock.now(), simmpi::Op::Max));
   // Bounded prefetch: the CPU may not start batch s until the GPU has
   // finished batch s - prefetch_depth (buffer back-pressure).
   if (gpu_done_history_.size() >= depth_) {
@@ -83,9 +78,7 @@ void StepPipeline::step() {
   profile_.add(Phase::Backward, 2.0 * fb / 3.0);
 
   // ---- gradient all-reduce: starts when the slowest rank finishes ----
-  const auto all_done = comm_.allgather_untimed(gpu_done);
-  double max_done = gpu_done;
-  for (const double d : all_done) max_done = std::max(max_done, d);
+  const double max_done = comm_.allreduce_untimed(gpu_done, simmpi::Op::Max);
   const double comm_end =
       net.allreduce_time(comm_.size(), grad_bytes_, max_done);
   profile_.add(Phase::GradComm, comm_end - gpu_done);
@@ -177,10 +170,8 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
       report.metrics.push_back(EpochReport::MetricSample{names[i], delta[i]});
     }
   }
-  for (const double h :
-       comm_.allgather_untimed(pipeline_.overlap_hidden_s())) {
-    report.overlap_hidden_s += h;
-  }
+  report.overlap_hidden_s =
+      comm_.allreduce_untimed(pipeline_.overlap_hidden_s(), simmpi::Op::Sum);
   // Epoch boundary: no fetch is in flight on any rank, so the hook may run
   // collective work (the elastic driver reshards the backend here).
   if (epoch_end_hook_) epoch_end_hook_(report);

@@ -77,10 +77,13 @@ INSTANTIATE_TEST_SUITE_P(
       // macro argument splitting inside INSTANTIATE_TEST_SUITE_P.  Every
       // read is one-sided RMA; the "Rma" suffix keeps the instance names
       // stable.
-      return "n" + std::to_string(std::get<0>(info.param)) + "w" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) == Placement::Block ? "Block" : "RR") +
-             "Rma";
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "w";
+      name += std::to_string(std::get<1>(info.param));
+      name += std::get<2>(info.param) == Placement::Block ? "Block" : "RR";
+      name += "Rma";
+      return name;
     });
 
 }  // namespace

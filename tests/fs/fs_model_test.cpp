@@ -21,7 +21,9 @@ double closed_loop_pff_latency(int nranks, int ops) {
   machine.fs.mds_occupancy_s = 100e-6;  // exaggerate for a visible knee
   ParallelFileSystem pfs(machine.fs, machine.nodes_for_ranks(nranks));
   for (int i = 0; i < 64; ++i) {
-    pfs.write_file("f" + std::to_string(i), ByteSpan(blob(100)));
+    std::string name = "f";
+    name += std::to_string(i);
+    pfs.write_file(name, ByteSpan(blob(100)));
   }
   RunningStats lat;
   simmpi::Runtime rt(nranks, machine);
@@ -33,7 +35,9 @@ double closed_loop_pff_latency(int nranks, int ops) {
       // Keep clocks loosely aligned (the BusyResource skew contract).
       if (i % 8 == 0) c.barrier();
       const double t0 = c.clock().now();
-      (void)client.read_file("f" + std::to_string((i * 7 + c.rank()) % 64));
+      std::string name = "f";
+      name += std::to_string((i * 7 + c.rank()) % 64);
+      (void)client.read_file(name);
       mine.add(c.clock().now() - t0);
     }
     lat.merge(mine);

@@ -2,7 +2,7 @@
 // through staging, DDStore, sampling, and training.
 #include <gtest/gtest.h>
 
-
+#include "common/checksum.hpp"
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "formats/pff.hpp"
@@ -116,16 +116,18 @@ TEST(Pipeline, AllBackendsDeliverIdenticalSamples) {
   });
 }
 
-TEST(Pipeline, RealTrainingThroughDDStoreConvergesAndStaysInSync) {
+class PipelineSync : public ::testing::TestWithParam<int> {};
+
+TEST_P(PipelineSync, RealTrainingThroughDDStoreConvergesAndStaysInSync) {
   const auto machine = test_machine();
-  constexpr int kRanks = 3;
+  const int ranks = GetParam();
   constexpr std::uint64_t kSamples = 96;
   fs::ParallelFileSystem pfs(machine.fs, 1);
   const auto ds = datagen::make_dataset(DatasetKind::Ising, kSamples, 9);
   formats::CffWriter::stage(pfs, "cff", *ds, 2);
   const formats::CffReader reader(pfs, "cff", 1000);
 
-  simmpi::Runtime rt(kRanks, machine);
+  simmpi::Runtime rt(ranks, machine);
   rt.run([&](simmpi::Comm& c) {
     fs::FsClient client(pfs, 0, c.clock(), c.rng());
     core::DDStore store(c, reader, client);
@@ -143,15 +145,21 @@ TEST(Pipeline, RealTrainingThroughDDStoreConvergesAndStaysInSync) {
     train::TrainEpochResult last{};
     for (std::uint64_t e = 1; e < 6; ++e) last = trainer.run_epoch(e);
     EXPECT_LT(last.train_loss, first.train_loss);
-    // Replicas remain bit-identical (DDP invariant) across the whole run.
-    float checksum = 0;
+    // Replicas remain bit-identical (DDP invariant) across the whole run:
+    // every parameter byte, not a float sum that tolerates rounding.
+    ByteBuffer bytes;
     for (const auto& p : trainer.model().parameters()) {
-      for (const float v : *p.value) checksum += v;
+      const auto* b = reinterpret_cast<const std::byte*>(p.value->data());
+      bytes.insert(bytes.end(), b, b + p.value->size() * sizeof(float));
     }
-    const auto sums = c.allgather_untimed(checksum);
-    for (const float s : sums) EXPECT_FLOAT_EQ(s, sums[0]);
+    const auto digests = c.allgather_untimed(checksum64(ByteSpan(bytes)));
+    for (const std::uint64_t d : digests) EXPECT_EQ(d, digests[0]);
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, PipelineSync,
+                         ::testing::Values(3, 4, 6, 8),
+                         ::testing::PrintToStringParamName());
 
 TEST(Pipeline, WidthChangeDoesNotChangeDeliveredData) {
   // Re-sharding to a different width (e.g. after changing the GPU count,

@@ -2,9 +2,11 @@
 // non-powers-of-two (the log-depth cost model must not affect results).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "simmpi/runtime.hpp"
+#include "simmpi/window.hpp"
 
 namespace dds::simmpi {
 namespace {
@@ -108,6 +110,69 @@ TEST_P(CollectiveSweep, BarrierLeavesClocksEqual) {
     const auto clocks = c.allgather_untimed(c.clock().now());
     for (const double t : clocks) EXPECT_DOUBLE_EQ(t, clocks[0]);
   });
+}
+
+TEST_P(CollectiveSweep, ReductionsFoldInRankOrderOnEveryRank) {
+  // Rank r contributes {big, 1, -big, 1}[r % 4]: the float sum depends on
+  // the fold order, so a rank that folds its own value first gets other
+  // bits.  Every rank must get exactly the rank-order fold.
+  const int n = GetParam();
+  const auto value = [](int r, auto big) {
+    using T = decltype(big);
+    const T cycle[4] = {big, T{1}, -big, T{1}};
+    return cycle[r % 4];
+  };
+  const auto rank_order = [&](auto big) {
+    auto acc = value(0, big);
+    for (int r = 1; r < n; ++r) acc = acc + value(r, big);
+    return acc;
+  };
+  const float f = rank_order(1e8f);
+  const double d = rank_order(1e16);
+  Runtime rt(n, test_machine());
+  rt.run([&](Comm& c) {
+    const float mine_f = value(c.rank(), 1e8f);
+    const double mine_d = value(c.rank(), 1e16);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(c.allreduce(mine_f, Op::Sum)),
+              std::bit_cast<std::uint32_t>(f));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.allreduce(mine_d, Op::Sum)),
+              std::bit_cast<std::uint64_t>(d));
+    EXPECT_EQ(
+        std::bit_cast<std::uint32_t>(c.allreduce_untimed(mine_f, Op::Sum)),
+        std::bit_cast<std::uint32_t>(f));
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(c.allreduce_untimed(mine_d, Op::Sum)),
+        std::bit_cast<std::uint64_t>(d));
+  });
+}
+
+TEST_P(CollectiveSweep, EveryCollectiveKeepsItsBarrierCount) {
+  // A collective's barriers are its only scheduling points: N fiber starts
+  // plus N - 1 resumes per barrier.  Computing a result once must not add
+  // or remove one, or the schedule (and with it modeled time) would move.
+  const int n = GetParam();
+  constexpr std::uint64_t kBarriers = 2 * 8 + 4 + 3;
+  Runtime rt(n, test_machine());
+  rt.run([&](Comm& c) {
+    // Two barriers each:
+    c.barrier();
+    (void)c.allreduce(c.rank(), Op::Sum);
+    std::vector<int> v = {c.rank(), 1};
+    c.allreduce_inplace_untimed(std::span<int>(v), Op::Max);
+    (void)c.allreduce_untimed(c.rank(), Op::Min);
+    (void)c.allgather_untimed(c.rank());
+    (void)c.allgatherv(std::span<const int>(v));
+    (void)c.gatherv(std::span<const int>(v), n - 1);
+    (void)c.share<int>(0, [] { return std::make_shared<int>(7); });
+    // Four: the exchange, then publishing the sub-communicator.
+    (void)c.split(c.rank() % 2, c.rank());
+    // Three: the exchange, then registering every keepalive.
+    std::vector<std::byte> region(16);
+    const Window win(c, MutableByteSpan(region));
+  });
+  const auto parked = static_cast<std::uint64_t>(n - 1);
+  EXPECT_EQ(rt.fiber_scheduler()->switch_count(),
+            static_cast<std::uint64_t>(n) + kBarriers * parked);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveSweep,

@@ -72,6 +72,13 @@ TEST(Collectives, AllreduceInplaceUntimedRejectsUnequalLengths) {
                                              Op::Sum);
                }),
                InternalError);
+  // The timed reduction shares the fold, and with it the check: no rank
+  // may read past a shorter peer's snapshot.
+  EXPECT_THROW(rt.run([](Comm& c) {
+                 std::vector<double> v(c.rank() == 2 ? 3 : 2, 1.0);
+                 c.allreduce_inplace(std::span<double>(v), Op::Sum);
+               }),
+               InternalError);
 }
 
 TEST(Collectives, AllgathervVariableCounts) {

@@ -75,8 +75,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{3, 257}, Config{5, 1024}, Config{8, 65536},
                       Config{9, 333}),
     [](const ::testing::TestParamInfo<Config>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "r" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "r";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 }  // namespace

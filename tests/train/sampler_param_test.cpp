@@ -79,9 +79,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{4, 8, 256}, Config{5, 3, 97}, Config{8, 16, 512},
                       Config{7, 1, 49}),
     [](const ::testing::TestParamInfo<Config>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "b" +
-             std::to_string(std::get<1>(info.param)) + "s" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "b";
+      name += std::to_string(std::get<1>(info.param));
+      name += "s";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 }  // namespace
