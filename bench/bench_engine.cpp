@@ -5,9 +5,9 @@
 // double (the benches' per-rank wall-time exchange), and a barrier; every op
 // waits in the communicator's barrier, the engine's one wait point.  A run
 // makes exactly N + B·(N−1) fiber switches for B barriers: every rank
-// starts once, and all but the last arriver park once per barrier.  It reports wall-clock rank-steps per second, the modeled
-// virtual seconds and the fiber switch count; the last two are
-// bit-identical run to run.
+// starts once, and all but the last arriver park once per barrier.  It
+// reports wall-clock rank-steps per second, the modeled virtual seconds and
+// the fiber switch count; the last two are bit-identical run to run.
 //
 // Output: a JSON array, one object per rank count.  `--smoke` shrinks rank
 // counts and steps to a seconds-scale CI configuration with the same

@@ -87,21 +87,21 @@ Comm Comm::split(int color, int key) {
           return std::tie(a.color, a.key, a.rank) <
                  std::tie(b.color, b.key, b.rank);
         });
-        res.counts.resize(2 * n);
+        res.places.resize(n);
         std::size_t begin = 0;
         for (std::size_t i = 0; i < n; ++i) {
           if (sorted[i].color != sorted[begin].color) begin = i;
           const auto r = static_cast<std::size_t>(sorted[i].rank);
-          res.counts[2 * r] = begin;
-          res.counts[2 * r + 1] = i - begin;
+          res.places[r] = {begin, i - begin};
         }
       },
       [&] {
         const auto* sorted = reinterpret_cast<const Entry*>(res.bytes.data());
-        const auto me = static_cast<std::size_t>(rank_);
-        const std::size_t begin = res.counts[2 * me];
+        const detail::SplitPlace& place =
+            res.places[static_cast<std::size_t>(rank_)];
+        const std::size_t begin = place.begin;
         leader = sorted[begin].rank;
-        my_pos = static_cast<int>(res.counts[2 * me + 1]);
+        my_pos = static_cast<int>(place.pos);
         if (rank_ != leader) return;
         for (std::size_t i = begin; i < n && sorted[i].color == color; ++i) {
           members.push_back(sorted[i].rank);

@@ -75,15 +75,23 @@ T apply_op(Op op, T a, T b) {
   throw InternalError("unknown Op");
 }
 
+/// Where one rank sits in split's sorted (color, key, rank) entries.
+struct SplitPlace {
+  std::size_t begin = 0;  ///< index of the first entry of the rank's color
+  std::size_t pos = 0;    ///< its position in that run: its rank in the group
+};
+
 /// One exchange's result, computed once by the first rank to run after the
 /// exchange's first barrier (Comm::exchange) and copied out by every rank.
 /// Its buffers keep their capacity from one exchange to the next.
 struct ExchangeResult {
   std::uint64_t generation = 0;  ///< barrier generation it was computed in
   double start = 0.0;            ///< max deposit time: the collective's start
-  ByteBuffer bytes;              ///< the fold or the rank-order concatenation
-  std::vector<std::size_t> counts;  ///< per-rank byte counts (or split's table)
+  /// The fold, the rank-order concatenation, or split's sorted entries.
+  ByteBuffer bytes;
+  std::vector<std::size_t> counts;  ///< a concatenation's per-rank byte counts
   std::size_t max_bytes = 0;        ///< largest single contribution
+  std::vector<SplitPlace> places;   ///< split: each rank's place in `bytes`
 };
 
 /// State shared by all member ranks of one communicator.
@@ -171,7 +179,8 @@ class Comm {
     const double t0 = clock_now();
     std::vector<T> out;
     std::size_t max_bytes = 0;
-    finish(concatenate(mine, out, counts, &max_bytes), max_bytes);
+    const double start = concatenate(mine, out, counts, &max_bytes);
+    finish(start, max_bytes);
     trace_collective("allgatherv", t0, max_bytes);
     return out;
   }

@@ -96,6 +96,22 @@ TEST(Collectives, AllgathervVariableCounts) {
   });
 }
 
+TEST(Collectives, AllgathervChargesTheLargestContribution) {
+  // Unequal clocks and sizes: the exchange starts at the latest deposit
+  // (rank 3's 4 ms) and moves the largest contribution (rank 3's bytes).
+  Runtime rt(4, test_machine());
+  const std::size_t max_bytes = 4 * 1024 * sizeof(double);
+  const double expected =
+      rt.network().collective_time(4, max_bytes, 0.001 * 4);
+  rt.run([&](Comm& c) {
+    c.clock().advance(0.001 * (c.rank() + 1));
+    const std::vector<double> mine(
+        static_cast<std::size_t>(c.rank() + 1) * 1024, 1.0);
+    (void)c.allgatherv(std::span<const double>(mine));
+    EXPECT_EQ(c.clock().now(), expected);
+  });
+}
+
 TEST(Collectives, SplitFormsReplicaGroups) {
   // 8 ranks, width 4 -> 2 groups, as DDStore would split them.
   Runtime rt(8, test_machine());
