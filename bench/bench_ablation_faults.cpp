@@ -73,7 +73,9 @@ int elastic_recovery_cell(StagedData& data,
   fc.deaths.push_back(faults::DeathPhase{2, 0.0});
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, nranks));
 
-  std::vector<std::uint64_t> fault_traffic;  // per epoch, summed over ranks
+  // Summed over ranks on the host: ranks run one at a time (see
+  // simmpi/sched.hpp), and an integer sum does not depend on their order.
+  std::vector<std::uint64_t> fault_traffic(kRecoveryEpochs, 0);  // per epoch
   std::uint64_t rebuilds = 0;
   rt.run([&](simmpi::Comm& c) {
     fs::FsClient client(data.fs(), machine.node_of_rank(c.world_rank()),
@@ -103,19 +105,11 @@ int elastic_recovery_cell(StagedData& data,
       c.barrier();
       if (driver) driver->on_epoch_end(c.clock().now() - t0);
       const auto s = store.stats();
-      const std::uint64_t mine =
-          s.retries + s.failovers + s.degraded_reads - prev;
-      prev = s.retries + s.failovers + s.degraded_reads;
-      std::uint64_t total = 0;
-      for (const std::uint64_t v : c.allgather_untimed(mine)) total += v;
-      if (c.rank() == 0) fault_traffic.push_back(total);
+      const std::uint64_t now = s.retries + s.failovers + s.degraded_reads;
+      fault_traffic[static_cast<std::size_t>(e)] += now - prev;
+      prev = now;
     }
-    std::uint64_t my_rebuilds = store.stats().rank_rebuilds;
-    std::uint64_t all_rebuilds = 0;
-    for (const std::uint64_t v : c.allgather_untimed(my_rebuilds)) {
-      all_rebuilds += v;
-    }
-    if (c.rank() == 0) rebuilds = all_rebuilds;
+    rebuilds += store.stats().rank_rebuilds;
     store.fence();
   });
 

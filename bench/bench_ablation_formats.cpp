@@ -26,7 +26,7 @@ void measure(const Arm& arm, fs::ParallelFileSystem& pfs,
              std::uint64_t num_samples, std::uint64_t input_dim,
              std::uint32_t target_dim) {
   pfs.reset_time_state();
-  LatencyRecorder latencies;
+  std::vector<LatencyRecorder> per_rank(static_cast<std::size_t>(nranks));
   double throughput = 0;
 
   simmpi::Runtime rt(nranks, machine);
@@ -43,13 +43,11 @@ void measure(const Arm& arm, fs::ParallelFileSystem& pfs,
     for (int e = 0; e < 2; ++e) {
       tput = trainer.run_epoch(static_cast<std::uint64_t>(e)).throughput;
     }
-    const auto lat = trainer.gather_latencies();
-    if (comm.rank() == 0) {
-      throughput = tput;
-      latencies = lat;
-    }
-    comm.barrier();
+    per_rank[static_cast<std::size_t>(comm.rank())] = load_latencies(backend);
+    if (comm.rank() == 0) throughput = tput;
   });
+  LatencyRecorder latencies;
+  for (const LatencyRecorder& rank : per_rank) latencies.merge(rank);
 
   print_row({arm.name, fmt(throughput, 0),
              fmt(latencies.percentile(50) * 1e3, 3) + " ms",

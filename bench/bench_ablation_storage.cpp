@@ -65,6 +65,7 @@ int main() {
     fs::NvmeTier tier(nvme, machine.nodes_for_ranks(kRanks));
     const char* label = prestage ? "NVMe prestaged" : "NVMe on-touch";
 
+    std::vector<LatencyRecorder> per_rank(kRanks);
     simmpi::Runtime rt(kRanks, machine, sc.seed);
     rt.run([&](simmpi::Comm& comm) {
       const int node = machine.node_of_rank(comm.world_rank());
@@ -104,19 +105,18 @@ int main() {
                      ""});
         }
       }
-      const auto lat = trainer.gather_latencies();
-      if (comm.rank() == 0) {
-        print_row({label, "p50/p99 (all epochs)", "",
-                   fmt(lat.percentile(50) * 1e3, 3) + " ms",
-                   fmt(lat.percentile(99) * 1e3, 3) + " ms"});
-        std::printf("# %s node 0: %llu hits, %llu misses, %s resident\n",
-                    label, static_cast<unsigned long long>(tier.hits(0)),
-                    static_cast<unsigned long long>(tier.misses(0)),
-                    format_bytes(static_cast<double>(tier.used_bytes(0)))
-                        .c_str());
-      }
-      comm.barrier();
+      per_rank[static_cast<std::size_t>(comm.rank())] =
+          load_latencies(backend);
     });
+    LatencyRecorder lat;
+    for (const LatencyRecorder& rank : per_rank) lat.merge(rank);
+    print_row({label, "p50/p99 (all epochs)", "",
+               fmt(lat.percentile(50) * 1e3, 3) + " ms",
+               fmt(lat.percentile(99) * 1e3, 3) + " ms"});
+    std::printf("# %s node 0: %llu hits, %llu misses, %s resident\n", label,
+                static_cast<unsigned long long>(tier.hits(0)),
+                static_cast<unsigned long long>(tier.misses(0)),
+                format_bytes(static_cast<double>(tier.used_bytes(0))).c_str());
   }
   std::printf(
       "# takeaways: lazy NVMe caching cannot absorb global shuffling; "

@@ -45,7 +45,7 @@ constexpr double kMinHedgeP99Speedup = 3.0;  // pinned A/B cell
 
 /// Everything one scenario run reports back to the host side.
 struct ChaosRun {
-  std::vector<double> epoch_s;     ///< per-epoch max-over-ranks duration
+  std::vector<double> epoch_s;     ///< per-epoch duration, equal on every rank
   std::vector<double> latencies;   ///< every fetch's virtual latency, all ranks
   bool samples_identical = true;
   faults::CounterAudit audit;
@@ -69,8 +69,9 @@ ChaosRun run_scenario(StagedData& data, const model::MachineConfig& machine,
                        const std::vector<ByteBuffer>& expected,
                        const faults::ChaosScenario& scenario,
                        double reference_T, bool hedge_on) {
-  ChaosRun out;
   data.fs().reset_time_state();
+  std::vector<ChaosRun> ranks(kRanks);  // each rank's share, index = rank
+  std::vector<core::DDStoreStats> stats(kRanks);
   simmpi::Runtime rt(kRanks, machine, /*seed=*/42);
   if (reference_T > 0.0 && scenario.faults.any()) {
     rt.set_fault_injector(std::make_shared<faults::FaultInjector>(
@@ -92,9 +93,7 @@ ChaosRun run_scenario(StagedData& data, const model::MachineConfig& machine,
     }
     train::GlobalShuffleSampler sampler(kSamples, kLocalBatch, /*seed=*/42);
     c.clock().reset();
-    std::vector<double> lats;
-    std::uint64_t ok = 1;
-    std::vector<double> epochs;
+    ChaosRun& mine = ranks[static_cast<std::size_t>(c.rank())];
     for (int e = 0; e < kEpochs; ++e) {
       sampler.begin_epoch(static_cast<std::uint64_t>(e), c);
       c.barrier();
@@ -103,50 +102,38 @@ ChaosRun run_scenario(StagedData& data, const model::MachineConfig& machine,
         for (const std::uint64_t id : sampler.batch_ids(step)) {
           const double f0 = c.clock().now();
           const ByteBuffer bytes = store.get_bytes(id);
-          lats.push_back(c.clock().now() - f0);
-          if (bytes != expected[static_cast<std::size_t>(id)]) ok = 0;
+          mine.latencies.push_back(c.clock().now() - f0);
+          if (bytes != expected[static_cast<std::size_t>(id)]) {
+            mine.samples_identical = false;
+          }
         }
       }
       c.barrier();
-      double elapsed = 0;
-      for (const double t : c.allgather_untimed(c.clock().now() - t0)) {
-        elapsed = std::max(elapsed, t);
-      }
-      if (driver) driver->on_epoch_end(c.clock().now() - t0);
-      epochs.push_back(elapsed);
+      // Both ends follow a barrier, so every rank reads the same duration.
+      const double elapsed = c.clock().now() - t0;
+      if (driver) driver->on_epoch_end(elapsed);
+      mine.epoch_s.push_back(elapsed);
     }
-
-    std::uint64_t all_ok = 1;
-    for (const std::uint64_t v : c.allgather_untimed(ok)) all_ok &= v;
-    const auto sum = [&c](std::uint64_t mine) {
-      std::uint64_t total = 0;
-      for (const std::uint64_t v : c.allgather_untimed(mine)) total += v;
-      return total;
-    };
-    const auto s = store.stats();
-    const std::uint64_t hedged = sum(s.hedged_fetches);
-    const std::uint64_t wins = sum(s.hedge_wins);
-    const std::uint64_t mismatches = sum(s.hedge_mismatches);
-    const std::uint64_t degraded = sum(s.degraded_reads);
-    const std::uint64_t checksums = sum(s.checksum_failures);
-    const std::uint64_t rebuilds = sum(s.rank_rebuilds);
-    const std::uint64_t steers = sum(s.quarantine_steers);
-    const std::vector<double> all_lats =
-        c.allgatherv_untimed(std::span<const double>(lats));
-    if (c.rank() == 0) {
-      out.epoch_s = epochs;
-      out.latencies = all_lats;
-      out.samples_identical = all_ok != 0;
-      out.audit.hedged_fetches = hedged;
-      out.audit.hedge_wins = wins;
-      out.audit.hedge_mismatches = mismatches;
-      out.audit.degraded_reads = degraded;
-      out.audit.checksum_failures = checksums;
-      out.rank_rebuilds = rebuilds;
-      out.quarantine_steers = steers;
-    }
+    stats[static_cast<std::size_t>(c.rank())] = store.stats();
     store.fence();
   });
+
+  ChaosRun out;
+  out.epoch_s = ranks[0].epoch_s;
+  for (int r = 0; r < kRanks; ++r) {
+    const ChaosRun& share = ranks[static_cast<std::size_t>(r)];
+    out.latencies.insert(out.latencies.end(), share.latencies.begin(),
+                         share.latencies.end());
+    out.samples_identical = out.samples_identical && share.samples_identical;
+    const core::DDStoreStats& s = stats[static_cast<std::size_t>(r)];
+    out.audit.hedged_fetches += s.hedged_fetches;
+    out.audit.hedge_wins += s.hedge_wins;
+    out.audit.hedge_mismatches += s.hedge_mismatches;
+    out.audit.degraded_reads += s.degraded_reads;
+    out.audit.checksum_failures += s.checksum_failures;
+    out.rank_rebuilds += s.rank_rebuilds;
+    out.quarantine_steers += s.quarantine_steers;
+  }
   return out;
 }
 

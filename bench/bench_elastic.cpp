@@ -43,7 +43,8 @@ constexpr std::uint64_t kSamples = 640;
 constexpr std::uint64_t kLocalBatch = 16;
 
 /// One fetch-drain epoch: every rank pulls its GlobalShuffleSampler slices
-/// through the store.  Returns the epoch's virtual seconds, max over ranks.
+/// through the store.  Returns the epoch's virtual seconds: both ends follow
+/// a barrier, so every rank reads the same duration.
 double drain_epoch(core::DDStore& store, train::Sampler& sampler,
                    simmpi::Comm& c, std::uint64_t epoch) {
   sampler.begin_epoch(epoch, c);
@@ -55,11 +56,7 @@ double drain_epoch(core::DDStore& store, train::Sampler& sampler,
     }
   }
   c.barrier();
-  double elapsed = 0;
-  for (const double t : c.allgather_untimed(c.clock().now() - t0)) {
-    elapsed = std::max(elapsed, t);
-  }
-  return elapsed;
+  return c.clock().now() - t0;
 }
 
 struct SweepPoint {
@@ -139,10 +136,9 @@ int main(int argc, char** argv) {
         c.barrier();
         const double t0 = c.clock().now();
         const elastic::ReshardPlan plan = elastic::reshard(store, to);
-        double measured = 0;
-        for (const double t : c.allgather_untimed(c.clock().now() - t0)) {
-          measured = std::max(measured, t);
-        }
+        // reshard ends in a collective (the new window's registration), so
+        // every rank reads the same duration.
+        const double measured = c.clock().now() - t0;
         if (c.rank() == 0) {
           costs.push_back({from, to, plan.total_pull_bytes,
                            plan.total_keep_bytes, modeled, measured});

@@ -58,7 +58,8 @@ struct Cell {
 };
 
 /// One fetch-drain epoch through the Coalesced batch planner.  Returns the
-/// epoch's virtual seconds (max over ranks) and rank-0's stats snapshot.
+/// epoch's virtual seconds (the same on every rank) and rank-0's stats
+/// snapshot.
 double drain_epoch(StagedData& data, const model::MachineConfig& machine,
                    int nranks, int width, std::uint64_t samples,
                    double hot_fraction, int depth, core::DDStoreStats* stats) {
@@ -83,12 +84,9 @@ double drain_epoch(StagedData& data, const model::MachineConfig& machine,
       (void)store.get_batch(sampler.batch_ids(step));
     }
     c.barrier();
-    double elapsed = 0;
-    for (const double t : c.allgather_untimed(c.clock().now() - t0)) {
-      elapsed = std::max(elapsed, t);
-    }
     if (c.rank() == 0) {
-      epoch_s = elapsed;
+      // Both ends follow a barrier: every rank reads the same duration.
+      epoch_s = c.clock().now() - t0;
       if (stats != nullptr) *stats = store.stats();
     }
     store.fence();

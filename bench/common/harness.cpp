@@ -120,6 +120,8 @@ RunResult run_training(StagedData& data, const Scenario& scenario,
   // a previous backend's timeline must not leak into this one.
   data.fs().reset_time_state();
 
+  std::vector<LatencyRecorder> latencies(
+      static_cast<std::size_t>(scenario.nranks));
   simmpi::Runtime rt(scenario.nranks, scenario.machine, scenario.seed);
   if (scenario.faults.any()) {
     rt.set_fault_injector(std::make_shared<faults::FaultInjector>(
@@ -190,17 +192,24 @@ RunResult run_training(StagedData& data, const Scenario& scenario,
     for (int e = 0; e < scenario.epochs; ++e) {
       reports.push_back(trainer.run_epoch(static_cast<std::uint64_t>(e)));
     }
-    const LatencyRecorder all_latencies = trainer.gather_latencies();
+    latencies[static_cast<std::size_t>(comm.rank())] = load_latencies(*db);
 
     if (comm.rank() == 0) {
       result.epochs = std::move(reports);
-      result.latencies = all_latencies;
       result.preload_seconds = preload;
       if (store) result.ddstore_stats = store->stats();
     }
     comm.barrier();  // nobody tears down while peers still read
   });
+  for (const LatencyRecorder& rank : latencies) result.latencies.merge(rank);
   return result;
+}
+
+LatencyRecorder load_latencies(const train::DataBackend& backend) {
+  const MetricsRegistry* registry = backend.metrics();
+  const LatencyRecorder* mine =
+      registry == nullptr ? nullptr : registry->find_latency("sample_load_s");
+  return mine == nullptr ? LatencyRecorder{} : *mine;
 }
 
 double normalize(double value, double baseline) {

@@ -109,6 +109,12 @@ struct RunResult {
 std::string metrics_json_fields(
     const std::vector<train::EpochReport::MetricSample>& metrics);
 
+/// This rank's per-sample load latencies as `backend` recorded them (its
+/// `sample_load_s`; empty when it keeps none).  Benches copy each rank's
+/// into a host vector indexed by rank and merge them in rank order after
+/// the run returns, so reading them costs no collective.
+LatencyRecorder load_latencies(const train::DataBackend& backend);
+
 /// Runs the scenario with the given backend.  Virtual clocks are reset
 /// after backend setup so the reported epochs measure steady-state
 /// training, with preload reported separately.

@@ -70,9 +70,6 @@ class RunningStats {
 /// Collects raw samples; answers percentile and CDF queries after sorting.
 class LatencyRecorder {
  public:
-  LatencyRecorder() = default;
-  explicit LatencyRecorder(std::size_t reserve) { samples_.reserve(reserve); }
-
   void add(double seconds) {
     samples_.push_back(seconds);
     sorted_ = false;

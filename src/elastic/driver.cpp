@@ -47,17 +47,16 @@ void ElasticDriver::recover_faults() {
   simmpi::Comm& comm = store_.comm();
   const int n = comm.size();
 
-  // Min-reduce every rank's continuous health scores (untimed:
-  // bookkeeping, not simulated traffic).  A target is suspect when ANY
-  // rank scores it below the threshold; an open breaker reads as score 0,
-  // so the PR-1 binary breaker-OR signal is the degenerate case.  The
-  // result is identical on all ranks, which keeps the rebuild below
-  // collective.
+  // Min-reduce every rank's continuous health scores (timed: a controller
+  // pays to exchange its inputs).  A target is suspect when ANY rank scores
+  // it below the threshold; an open breaker reads as score 0, so the binary
+  // breaker-OR signal is the degenerate case.  The result is identical on
+  // all ranks, which keeps the rebuild below collective.
   std::vector<double> score(static_cast<std::size_t>(n), 1.0);
   for (int t = 0; t < n; ++t) {
     score[static_cast<std::size_t>(t)] = store_.health_score(t);
   }
-  comm.allreduce_inplace_untimed(std::span<double>(score), simmpi::Op::Min);
+  comm.allreduce_inplace(std::span<double>(score), simmpi::Op::Min);
 
   // Confirm against ground truth at a uniform time (ranks' clocks differ;
   // the max is the same everywhere, so the verdicts agree).
@@ -89,8 +88,8 @@ WidthObservation ElasticDriver::observe(double epoch_seconds) {
     for (std::size_t i = from; i < raw.size(); ++i) fetch_seconds += raw[i];
   }
 
-  // Cross-rank aggregation, untimed: the controller must see one global
-  // observation, not this rank's slice.
+  // Cross-rank aggregation, timed: the controller must see one global
+  // observation, not this rank's slice, and exchanging it costs traffic.
   std::array<double, 4> sums = {
       static_cast<double>(delta_of(metrics, now, last_counters_, "local_gets")),
       static_cast<double>(
@@ -98,7 +97,7 @@ WidthObservation ElasticDriver::observe(double epoch_seconds) {
       static_cast<double>(delta_of(metrics, now, last_counters_, "cache_hits")),
       fetch_seconds};
   simmpi::Comm& comm = store_.comm();
-  comm.allreduce_inplace_untimed(std::span<double>(sums), simmpi::Op::Sum);
+  comm.allreduce_inplace(std::span<double>(sums), simmpi::Op::Sum);
 
   WidthObservation obs;
   obs.epoch_seconds = comm.allreduce_untimed(epoch_seconds, simmpi::Op::Max);

@@ -3,13 +3,13 @@
 // Called collectively once per epoch (e.g. from the trainer's epoch-end
 // hook), it runs three steps in order:
 //   1. fault recovery — ranks exchange their continuous per-target health
-//      scores (untimed min-reduce; an open breaker scores 0), confirm
+//      scores (a timed min-reduce; an open breaker scores 0), confirm
 //      low-scoring suspects against the fault injector's ground truth at a
 //      uniform virtual time, and rebuild each confirmed dead rank's chunk
 //      from a surviving twin (then revive the rank and reset its health
 //      everywhere) instead of serving degraded forever;
-//   2. observation — per-epoch counter and latency deltas are aggregated
-//      across ranks with untimed collectives into one WidthObservation
+//   2. observation — per-epoch counter and latency deltas are summed
+//      across ranks with a timed allreduce into one WidthObservation
 //      every rank sees identically;
 //   3. width control — the AdaptiveWidthController weighs the modeled
 //      benefit of one divisor step down against the planned reshard's

@@ -49,6 +49,9 @@ class Barrier {
 
   int parties() const { return parties_; }
 
+  /// Whether the run is aborting: a rank has failed.
+  bool aborted() const { return abort_->raised(); }
+
   /// Number of completed rounds.  Every rank released by one round reads
   /// the same value until the next round completes, so Comm::exchange
   /// tags its shared result with it.

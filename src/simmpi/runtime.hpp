@@ -20,7 +20,8 @@
 // slots 0..N-1, a gather concatenates them — while every rank copies the
 // result out before the second barrier.  So a collective over N ranks
 // costs O(N) host work, not O(N²), and a reduction gives every rank the
-// same bits.
+// same bits.  Reports are not traffic: barrier(mine, merge) merges one at a
+// barrier the ranks pass anyway, and one read after run() needs none.
 //
 // Usage:
 //   Runtime rt(8, model::perlmutter());
@@ -34,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -92,6 +94,7 @@ struct ExchangeResult {
   std::vector<std::size_t> counts;  ///< a concatenation's per-rank byte counts
   std::size_t max_bytes = 0;        ///< largest single contribution
   std::vector<SplitPlace> places;   ///< split: each rank's place in `bytes`
+  std::shared_ptr<void> merged;     ///< barrier(mine, merge): the merge
 };
 
 /// State shared by all member ranks of one communicator.
@@ -150,6 +153,31 @@ class Comm {
     trace_collective("barrier", t0, 0);
   }
 
+  /// barrier() that also merges a report: the same rounds and price.  The
+  /// first rank released calls `merge(std::span<const T* const>)` once over
+  /// every rank's `mine`, read by address in rank order while its owner is
+  /// parked (T need not be trivially copyable); every rank returns a copy.
+  template <typename T, typename Merge>
+  auto barrier(const T& mine, Merge&& merge) {
+    using R = std::invoke_result_t<Merge&, std::span<const T* const>>;
+    const double t0 = clock_now();
+    deposit_raw(&mine, sizeof(T));
+    std::shared_ptr<void>& merged = shared_->result.merged;
+    std::shared_ptr<const R> out;
+    finish(exchange(
+               [&] {
+                 std::vector<const T*> shares;
+                 for (const void* s : shared_->slots) {
+                   shares.push_back(static_cast<const T*>(s));
+                 }
+                 merged = std::make_shared<R>(merge(std::span(shares)));
+               },
+               [&] { out = std::static_pointer_cast<const R>(merged); }),
+           0);
+    trace_collective("barrier", t0, 0);
+    return R(*out);
+  }
+
   /// Splits into sub-communicators by color; ranks ordered by (key, rank).
   Comm split(int color, int key);
 
@@ -185,49 +213,31 @@ class Comm {
     return out;
   }
 
-  /// allgather that does NOT advance virtual clocks — for simulation
-  /// harnesses that exchange bookkeeping.  Untimed is not unperturbed:
+  /// allgather that does NOT advance virtual clocks — a zero-cost
+  /// rendezvous for simulation harnesses.  Untimed is not unperturbed:
   /// like every collective it is a barrier, and the last rank to arrive
   /// runs on without yielding while the scheduler's scan resumes after it,
   /// so each exchange changes which rank runs first afterwards.
   /// BusyResource (model/clock.hpp) charges a bucket's earlier deposits to
   /// whichever rank acquires later, so adding or removing an untimed
   /// exchange can shift later modeled times.  It never changes counters or
-  /// payload bytes.
+  /// payload bytes.  A report needs none: see barrier(mine, merge).
   template <typename T>
     requires TriviallySerializable<T>
   std::vector<T> allgather_untimed(const T& value) {
-    return allgatherv_untimed(std::span<const T>(&value, 1));
-  }
-
-  /// Variable-count allgather that does NOT advance virtual clocks — the
-  /// vector analogue of allgather_untimed, for exchanging per-rank metric
-  /// snapshots and other bookkeeping (it reorders the fiber schedule the
-  /// same way; see allgather_untimed).
-  template <typename T>
-    requires TriviallySerializable<T>
-  std::vector<T> allgatherv_untimed(std::span<const T> mine) {
     std::vector<T> out;
-    concatenate(mine, out, nullptr);
+    concatenate(std::span<const T>(&value, 1), out, nullptr);
     return out;
   }
 
-  /// Element-wise reduction that does NOT advance virtual clocks — the
-  /// untimed twin of allreduce_inplace, for summing per-rank metric deltas
-  /// (it reorders the fiber schedule the same way; see allgather_untimed).
-  /// The fold and its length check are allreduce_inplace's.
-  template <typename T>
-    requires TriviallySerializable<T>
-  void allreduce_inplace_untimed(std::span<T> data, Op op) {
-    (void)reduce(data, op);
-  }
-
   /// One-value reduction that does NOT advance virtual clocks — the untimed
-  /// twin of allreduce, e.g. for the latest completion time across ranks.
+  /// twin of allreduce, for a rendezvous such as the latest completion
+  /// time across ranks (it reorders the fiber schedule the same way; see
+  /// allgather_untimed).  The fold is allreduce_inplace's.
   template <typename T>
     requires TriviallySerializable<T>
   T allreduce_untimed(T value, Op op) {
-    allreduce_inplace_untimed(std::span<T>(&value, 1), op);
+    (void)reduce(std::span<T>(&value, 1), op);
     return value;
   }
 
@@ -282,10 +292,7 @@ class Comm {
       : shared_(std::move(shared)), rank_(rank) {}
 
   /// Publishes this rank's contribution by *copying* it into storage owned
-  /// by the CommShared.  The slots are read inside exchange(); if the
-  /// reading rank's `once` throws, every peer reruns it after this rank may
-  /// have unwound — destroying its stack frame — so a slot must never
-  /// point at rank-local memory.
+  /// by the CommShared.
   void deposit(const void* ptr, std::size_t bytes) {
     auto& storage = shared_->slot_storage[static_cast<std::size_t>(rank_)];
     // Keep data() non-null even for empty payloads: readers form
@@ -298,10 +305,10 @@ class Comm {
     shared_->clock_slots[static_cast<std::size_t>(rank_)] = clock_now();
   }
 
-  /// Publishes a raw pointer WITHOUT copying — only for Window
-  /// registration, where `slots` must carry the actual region addresses
-  /// (RMA targets the region itself, not a snapshot) and region lifetime
-  /// is the window's contract (see Window's keepalive parameter).
+  /// Publishes a raw pointer WITHOUT copying: for Window registration,
+  /// where `slots` must carry the actual region addresses (region lifetime
+  /// is the window's contract, see its keepalive parameter), and for
+  /// barrier(mine, merge), whose `mine` lives in a parked rank's frame.
   void deposit_raw(const void* ptr, std::size_t bytes) {
     shared_->slots[static_cast<std::size_t>(rank_)] = ptr;
     shared_->size_slots[static_cast<std::size_t>(rank_)] = bytes;
@@ -313,8 +320,9 @@ class Comm {
   /// fiber engine the last to arrive, before any peer resumes — computes
   /// the start time (the max deposit time) and runs `once`, which reads
   /// the slots and writes the result into the CommShared.  The result is
-  /// marked current only after `once` returns, so a check that throws in
-  /// `once` throws again on every rank.  Then every rank runs `each`,
+  /// marked current only after `once` returns.  If `once` throws, every
+  /// peer throws AbortedError rather than rerun it over slots that may
+  /// point into the unwound rank's frame.  Then every rank runs `each`,
   /// which copies the result out.  So one exchange costs O(N) reads of the
   /// slots, not O(N²), and every rank gets the same bits.  Returns the
   /// start time.
@@ -323,6 +331,7 @@ class Comm {
     auto& cs = *shared_;
     cs.barrier.arrive_and_wait();
     if (cs.result.generation != cs.barrier.generation()) {
+      if (cs.barrier.aborted()) throw AbortedError();
       double start = 0.0;
       for (const double t : cs.clock_slots) start = std::max(start, t);
       cs.result.start = start;
@@ -396,7 +405,7 @@ class Comm {
   double clock_now() const;
   /// Records a Simmpi-category span from `t0` to now (no-op when tracing
   /// is off).  The untimed collectives deliberately do not call this: they
-  /// move bookkeeping, not modeled traffic.
+  /// are rendezvous, not modeled traffic.
   void trace_collective(const char* name, double t0, std::size_t bytes) const;
 
   std::shared_ptr<detail::CommShared> shared_;

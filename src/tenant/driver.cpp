@@ -1,8 +1,40 @@
 #include "tenant/driver.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dds::tenant {
+
+namespace {
+
+/// One rank's share of an epoch report: its counter deltas, and each
+/// tenant's fetch latencies as this rank recorded them (index = tenant).
+struct RankShare {
+  train::EpochReport counters;
+  std::vector<const LatencyRecorder*> latencies;
+};
+
+/// The shares merged: summed counters, and each tenant's (p50, p99) fetch
+/// latency over every rank's loads ((0, 0) when it loaded nothing).
+struct EpochTotals {
+  train::EpochReport counters;
+  std::vector<std::pair<double, double>> p50_p99;
+};
+
+EpochTotals merge_shares(std::span<const RankShare* const> ranks) {
+  std::vector<const train::EpochReport*> counters;
+  for (const RankShare* r : ranks) counters.push_back(&r->counters);
+  EpochTotals out{train::EpochReport::merge(counters), {}};
+  out.p50_p99.resize(ranks[0]->latencies.size());
+  for (std::size_t k = 0; k < out.p50_p99.size(); ++k) {
+    LatencyRecorder all;
+    for (const RankShare* r : ranks) all.merge(*r->latencies[k]);
+    if (!all.empty()) out.p50_p99[k] = {all.percentile(50), all.percentile(99)};
+  }
+  return out;
+}
+
+}  // namespace
 
 MultiTenantDriver::MultiTenantDriver(simmpi::Comm& comm,
                                      TenantRegistry& tenants,
@@ -40,11 +72,13 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
   const std::vector<std::uint64_t> counters_at_start =
       registry.counter_values();
 
+  RankShare mine;  // this rank's share of the epoch report
   arbiter_.begin_epoch();
   for (int k = 0; k < n; ++k) {
     train::StepPipeline& p = pipelines_[static_cast<std::size_t>(k)];
     p.begin_epoch(epoch);
     tenants_->at(k).latencies() = LatencyRecorder{};
+    mine.latencies.push_back(&tenants_->at(k).latencies());
     arbiter_.set_runnable(k, !p.done());
   }
 
@@ -62,23 +96,15 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     clock.advance_to(p.gpu_free());
   }
 
-  // ---- reporting (untimed exchanges: no clock advances, but each one
-  // reorders the fiber schedule — see Comm::allgather_untimed) ----
-  std::vector<std::uint64_t> summed = registry.counter_values();
-  DDS_CHECK_MSG(summed.size() == counters_at_start.size(),
+  // ---- reporting: the shares merge at the barrier that ends the epoch ----
+  const std::vector<std::uint64_t> now = registry.counter_values();
+  DDS_CHECK_MSG(now.size() == counters_at_start.size(),
                 "metrics registered mid-epoch break delta accounting");
-  for (std::size_t i = 0; i < summed.size(); ++i) {
-    summed[i] -= counters_at_start[i];
-  }
-  comm_.allreduce_inplace_untimed(std::span<std::uint64_t>(summed),
-                                  simmpi::Op::Sum);
   const auto& names = registry.counter_names();
-  const auto summed_counter = [&](const std::string& name) -> std::uint64_t {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return summed[i];
-    }
-    return 0;
-  };
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    mine.counters.metrics.push_back({names[i], now[i] - counters_at_start[i]});
+  }
+  const EpochTotals totals = comm_.barrier(mine, &merge_shares);
 
   std::vector<TenantEpochReport> reports(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
@@ -91,37 +117,26 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     r.global_samples = r.steps * t.spec().local_batch *
                        static_cast<std::uint64_t>(comm_.size());
 
-    // Wall time the tenant experienced: its last step's completion, maxed
-    // across ranks (untimed exchange — the clock already drained).
-    const double done = comm_.allreduce_untimed(
-        pipelines_[static_cast<std::size_t>(k)].gpu_free(), simmpi::Op::Max);
-    r.epoch_seconds = done - epoch_begin;
+    // Wall time the tenant experienced: its last step's completion, the
+    // same on every rank (a step's GPU ends with the gradient all-reduce).
+    r.epoch_seconds =
+        pipelines_[static_cast<std::size_t>(k)].gpu_free() - epoch_begin;
     r.throughput = r.epoch_seconds > 0
                        ? static_cast<double>(r.global_samples) / r.epoch_seconds
                        : 0.0;
-
-    // Fetch latencies attributed to this tenant, merged across ranks.
-    const auto& mine = t.latencies().raw();
-    const std::vector<double> all_lat = comm_.allgatherv_untimed(
-        std::span<const double>(mine.data(), mine.size()));
-    if (!all_lat.empty()) {
-      LatencyRecorder merged(all_lat.size());
-      for (const double v : all_lat) merged.add(v);
-      r.p50_fetch_s = merged.percentile(50.0);
-      r.p99_fetch_s = merged.percentile(99.0);
-    }
+    r.p50_fetch_s = totals.p50_p99[static_cast<std::size_t>(k)].first;
+    r.p99_fetch_s = totals.p50_p99[static_cast<std::size_t>(k)].second;
 
     const MetricLabel label{"tenant", t.spec().name};
-    r.bytes_fetched =
-        summed_counter(MetricsRegistry::labeled_name("bytes_fetched", label));
-    r.cache_hits =
-        summed_counter(MetricsRegistry::labeled_name("cache_hits", label));
-    r.cache_misses =
-        summed_counter(MetricsRegistry::labeled_name("cache_misses", label));
-    r.cache_hit_bytes = summed_counter(
-        MetricsRegistry::labeled_name("cache_hit_bytes", label));
-    r.lock_epochs =
-        summed_counter(MetricsRegistry::labeled_name("lock_epochs", label));
+    const auto summed = [&](const char* counter) {
+      return totals.counters.metric(
+          MetricsRegistry::labeled_name(counter, label));
+    };
+    r.bytes_fetched = summed("bytes_fetched");
+    r.cache_hits = summed("cache_hits");
+    r.cache_misses = summed("cache_misses");
+    r.cache_hit_bytes = summed("cache_hit_bytes");
+    r.lock_epochs = summed("lock_epochs");
     r.served_bytes = r.bytes_fetched + r.cache_hit_bytes;
     r.max_wait_grants = arbiter_.max_wait(k);
   }

@@ -43,7 +43,7 @@ struct TenantEpochReport {
   std::uint64_t epoch = 0;
   std::uint64_t steps = 0;
   std::uint64_t global_samples = 0;
-  double epoch_seconds = 0;  ///< max across ranks, epoch start -> last step
+  double epoch_seconds = 0;  ///< epoch start -> last step, on every rank
   double throughput = 0;     ///< samples / second under sharing
   double p50_fetch_s = 0;    ///< merged across ranks, this tenant's loads
   double p99_fetch_s = 0;

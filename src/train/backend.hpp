@@ -56,8 +56,8 @@ class DataBackend {
 
   /// The backend's metrics registry, when it keeps one (nullptr
   /// otherwise).  Every shipped backend records each sample's load latency
-  /// in its `sample_load_s` recorder, which SimulatedTrainer's
-  /// gather_latencies reads.  SimulatedTrainer also snapshots the
+  /// in its `sample_load_s` recorder, which the benches read on the host
+  /// after the run.  SimulatedTrainer also snapshots the
   /// registry's counter vector at epoch boundaries and reports summed
   /// per-epoch deltas generically — a backend that registers a new counter
   /// shows up in every EpochReport and bench JSON without further plumbing.

@@ -1,15 +1,15 @@
 // Score-P-style phase profiler (used to regenerate the paper's Fig. 7).
 //
-// Accumulates virtual seconds per named training phase on each rank;
-// reports merge across ranks with allreduce.  The phases mirror the
+// Accumulates virtual seconds per named training phase on each rank; an
+// epoch report merges the ranks' profiles into their mean
+// (EpochReport::merge) without any exchange.  The phases mirror the
 // paper's breakdowns: Fig. 5 stacks CPU-Loading / CPU-Batching /
 // GPU-Compute / GPU-Comm; Fig. 9 plots per-function durations.
 #pragma once
 
 #include <array>
-#include <string>
 
-#include "simmpi/runtime.hpp"
+#include "common/error.hpp"
 
 namespace dds::train {
 
@@ -20,14 +20,12 @@ enum class Phase : int {
   Backward,      ///< GPU: backward pass
   GradComm,      ///< GPU: gradient all-reduce incl. straggler stall
   Optimizer,     ///< GPU: AdamW update
-  RmaComm,       ///< subset of Load spent inside MPI RMA calls
   kCount
 };
 
 inline const char* phase_name(Phase p) {
   static const char* names[] = {"CPU-Loading", "CPU-Batching", "GPU-Forward",
-                                "GPU-Backward", "GPU-Comm", "GPU-Optimizer",
-                                "MPI-RMA"};
+                                "GPU-Backward", "GPU-Comm", "GPU-Optimizer"};
   return names[static_cast<int>(p)];
 }
 
@@ -44,11 +42,7 @@ class PhaseProfile {
 
   double total() const {
     double s = 0;
-    // RmaComm is a sub-category of Load; don't double count.
-    for (int p = 0; p < kPhases; ++p) {
-      if (static_cast<Phase>(p) == Phase::RmaComm) continue;
-      s += t_[static_cast<std::size_t>(p)];
-    }
+    for (const double v : t_) s += v;
     return s;
   }
 
@@ -71,14 +65,9 @@ class PhaseProfile {
     return out;
   }
 
-  /// Collective: element-wise sum over all ranks, divided by rank count
-  /// (the mean per-rank profile).
-  PhaseProfile allreduce_mean(simmpi::Comm& comm) const {
-    PhaseProfile out = *this;
-    comm.allreduce_inplace(std::span<double>(out.t_.data(), out.t_.size()),
-                           simmpi::Op::Sum);
-    for (auto& v : out.t_) v /= comm.size();
-    return out;
+  /// Divides every phase by `n`: the mean of `n` merged profiles.
+  void divide(int n) {
+    for (auto& v : t_) v /= n;
   }
 
  private:

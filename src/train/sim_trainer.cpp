@@ -111,6 +111,28 @@ SimulatedTrainer::SimulatedTrainer(simmpi::Comm& comm, DataBackend& backend,
       sampler_(&sampler),
       pipeline_(comm, backend, sampler, machine, config) {}
 
+EpochReport EpochReport::merge(std::span<const EpochReport* const> ranks) {
+  EpochReport out = *ranks[0];
+  for (std::size_t r = 1; r < ranks.size(); ++r) {
+    const EpochReport& theirs = *ranks[r];
+    DDS_CHECK_MSG(theirs.metrics.size() == out.metrics.size(),
+                  "ranks reported different counters");
+    out.epoch_seconds = std::max(out.epoch_seconds, theirs.epoch_seconds);
+    out.global_samples += theirs.global_samples;
+    out.mean_profile.merge(theirs.mean_profile);
+    for (std::size_t i = 0; i < out.metrics.size(); ++i) {
+      out.metrics[i].value += theirs.metrics[i].value;
+    }
+    out.overlap_hidden_s += theirs.overlap_hidden_s;
+  }
+  out.mean_profile.divide(static_cast<int>(ranks.size()));
+  out.throughput =
+      out.epoch_seconds > 0
+          ? static_cast<double>(out.global_samples) / out.epoch_seconds
+          : 0.0;
+  return out;
+}
+
 EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
   auto& clock = comm_.clock();
 
@@ -119,7 +141,7 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
   const PhaseProfile profile_at_start = pipeline_.profile();
   // Generic metric accounting: snapshot the backend's registry, diff at the
   // epoch's end.  Registry layouts are rank-identical (registration-order
-  // contract), so the per-rank delta vectors can be summed elementwise.
+  // contract), so the per-rank deltas merge elementwise.
   const MetricsRegistry* registry = backend_->metrics();
   const std::vector<std::uint64_t> counters_at_start =
       registry == nullptr ? std::vector<std::uint64_t>{}
@@ -130,64 +152,26 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
   // The epoch ends when this rank's GPU pipeline drains.
   clock.advance_to(pipeline_.gpu_free());
 
-  const double local_duration = clock.now() - epoch_begin;
-  const double epoch_seconds =
-      comm_.allreduce(local_duration, simmpi::Op::Max);
-
-  const std::uint64_t steps = sampler_->steps_per_epoch();
-  EpochReport report;
-  report.epoch = epoch;
-  report.epoch_seconds = epoch_seconds;
-  report.global_samples = steps * sampler_->local_batch() *
-                          static_cast<std::uint64_t>(comm_.size());
-  report.throughput =
-      epoch_seconds > 0
-          ? static_cast<double>(report.global_samples) / epoch_seconds
-          : 0.0;
-  report.mean_profile =
-      pipeline_.profile().diff(profile_at_start).allreduce_mean(comm_);
-
-  // Metric counters: this rank's delta over the epoch, summed across ranks
-  // elementwise (untimed: no clock advances, though the exchange still
-  // reorders the fiber schedule — see Comm::allgather_untimed).
-  // The reduction is collective, so every rank participates even when its
-  // backend keeps no registry (it contributes an empty vector).
-  std::vector<std::uint64_t> delta;
+  EpochReport mine;
+  mine.epoch = epoch;
+  mine.epoch_seconds = clock.now() - epoch_begin;
+  mine.global_samples = sampler_->steps_per_epoch() * sampler_->local_batch();
+  mine.mean_profile = pipeline_.profile().diff(profile_at_start);
   if (registry != nullptr) {
-    delta = registry->counter_values();
-    DDS_CHECK_MSG(delta.size() == counters_at_start.size(),
+    const std::vector<std::uint64_t> now = registry->counter_values();
+    DDS_CHECK_MSG(now.size() == counters_at_start.size(),
                   "metrics registered mid-epoch break delta accounting");
-    for (std::size_t i = 0; i < delta.size(); ++i) {
-      delta[i] -= counters_at_start[i];
-    }
-  }
-  comm_.allreduce_inplace_untimed(std::span<std::uint64_t>(delta),
-                                  simmpi::Op::Sum);
-  if (registry != nullptr) {
     const auto& names = registry->counter_names();
-    report.metrics.reserve(names.size());
     for (std::size_t i = 0; i < names.size(); ++i) {
-      report.metrics.push_back(EpochReport::MetricSample{names[i], delta[i]});
+      mine.metrics.push_back({names[i], now[i] - counters_at_start[i]});
     }
   }
-  report.overlap_hidden_s =
-      comm_.allreduce_untimed(pipeline_.overlap_hidden_s(), simmpi::Op::Sum);
+  mine.overlap_hidden_s = pipeline_.overlap_hidden_s();
+  const EpochReport report = comm_.barrier(mine, &EpochReport::merge);
   // Epoch boundary: no fetch is in flight on any rank, so the hook may run
   // collective work (the elastic driver reshards the backend here).
   if (epoch_end_hook_) epoch_end_hook_(report);
   return report;
-}
-
-LatencyRecorder SimulatedTrainer::gather_latencies() {
-  const MetricsRegistry* registry = backend_->metrics();
-  const LatencyRecorder* mine =
-      registry == nullptr ? nullptr : registry->find_latency("sample_load_s");
-  const auto all = comm_.gatherv(
-      mine == nullptr ? std::span<const double>() : std::span(mine->raw()),
-      0);
-  LatencyRecorder out(all.size());
-  for (const double v : all) out.add(v);
-  return out;
 }
 
 }  // namespace dds::train

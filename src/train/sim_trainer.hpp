@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,11 @@ struct EpochReport {
     }
     return 0;
   }
+
+  /// Folds the ranks' own reports, in rank order, into the job's: the max
+  /// duration, the mean profile, the rest summed.  Throws InternalError
+  /// unless every rank reports the same counters.
+  static EpochReport merge(std::span<const EpochReport* const> ranks);
 };
 
 /// One rank's simulated DDP step loop.  Each step: the CPU waits until
@@ -124,12 +130,9 @@ class SimulatedTrainer {
                    const model::MachineConfig& machine,
                    SimTrainerConfig config = {});
 
-  /// Collective: runs one epoch; every rank returns the same report.
+  /// Collective: runs one epoch; every rank returns the same report, which
+  /// merges at the barrier that ends the epoch.
   EpochReport run_epoch(std::uint64_t epoch);
-
-  /// Collective: concatenates on rank 0 every rank's per-sample load
-  /// latencies, as the backend recorded them (its `sample_load_s`).
-  LatencyRecorder gather_latencies();
 
   /// Optional epoch-boundary hook, invoked (on every rank, with the
   /// rank-identical report) after each run_epoch finishes and before it

@@ -17,8 +17,7 @@ using model::test_machine;
 
 struct PipelineResult {
   double epoch_seconds = 0;
-  double latency_p50 = 0;
-  std::vector<double> latencies;
+  std::vector<double> latencies;  ///< every load, in rank order
 };
 
 PipelineResult run_pipeline(std::uint64_t seed) {
@@ -34,6 +33,7 @@ PipelineResult run_pipeline(std::uint64_t seed) {
                                   ds->spec().nominal_cff_sample_bytes());
 
   PipelineResult result;
+  std::vector<LatencyRecorder> per_rank(kRanks);
   simmpi::Runtime rt(kRanks, machine, seed);
   rt.run([&](simmpi::Comm& c) {
     fs::FsClient client(pfs, machine.node_of_rank(c.world_rank()), c.clock(),
@@ -49,32 +49,26 @@ PipelineResult run_pipeline(std::uint64_t seed) {
     cfg.output_dim = 100;
     train::SimulatedTrainer trainer(c, backend, sampler, machine, cfg);
     const auto report = trainer.run_epoch(0);
-    auto lat = trainer.gather_latencies();
-    if (c.rank() == 0) {
-      result.epoch_seconds = report.epoch_seconds;
-      result.latency_p50 = lat.percentile(50);
-      result.latencies = lat.raw();
-    }
-    c.barrier();
+    per_rank[static_cast<std::size_t>(c.rank())] =
+        *backend.metrics()->find_latency("sample_load_s");
+    if (c.rank() == 0) result.epoch_seconds = report.epoch_seconds;
   });
+  for (const LatencyRecorder& lat : per_rank) {
+    result.latencies.insert(result.latencies.end(), lat.raw().begin(),
+                            lat.raw().end());
+  }
   return result;
 }
 
 TEST(Pipeline, ReproducibleAcrossRuns) {
-  // Data, sampling, and costs are seeded, but within-bucket queueing order
-  // in BusyResource follows thread scheduling (a documented bucket-level
-  // approximation), so timings reproduce to ~1e-3 relative, not bitwise.
+  // Data, sampling and costs are seeded, and every run follows one
+  // deterministic fiber schedule, so the epoch time and every load
+  // latency reproduce bit for bit.
   const auto a = run_pipeline(77);
   const auto b = run_pipeline(77);
-  EXPECT_NEAR(a.epoch_seconds, b.epoch_seconds, 1e-3 * a.epoch_seconds);
-  EXPECT_NEAR(a.latency_p50, b.latency_p50, 1e-3 * a.latency_p50 + 1e-9);
-  ASSERT_EQ(a.latencies.size(), b.latencies.size());
-  auto la = a.latencies, lb = b.latencies;
-  std::sort(la.begin(), la.end());
-  std::sort(lb.begin(), lb.end());
-  for (std::size_t i = 0; i < la.size(); i += la.size() / 16 + 1) {
-    EXPECT_NEAR(la[i], lb[i], 0.05 * la[i] + 1e-9) << "quantile " << i;
-  }
+  EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
+  EXPECT_EQ(a.latencies.size(), 96u);
+  EXPECT_EQ(a.latencies, b.latencies);
 }
 
 TEST(Pipeline, DifferentSeedsDifferentTimelines) {

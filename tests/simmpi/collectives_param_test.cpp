@@ -146,6 +146,41 @@ TEST_P(CollectiveSweep, ReductionsFoldInRankOrderOnEveryRank) {
   });
 }
 
+TEST_P(CollectiveSweep, BarrierMergesOnceInRankOrder) {
+  // A share that is not trivially copyable: the merge reads each rank's
+  // string by address, once, in rank order, and every rank gets the same
+  // result.  The clocks move exactly as under a plain barrier().
+  const int n = GetParam();
+  const auto skew = [](Comm& c) { c.clock().advance(1e-3 * (c.rank() % 3)); };
+  Runtime plain(n, test_machine());
+  plain.run([&](Comm& c) {
+    skew(c);
+    c.barrier();
+  });
+  std::string expected;
+  for (int r = 0; r < n; ++r) expected += std::to_string(r) + ";";
+  Runtime rt(n, test_machine());
+  int merges = 0;
+  rt.run([&](Comm& c) {
+    skew(c);
+    const std::string mine = std::to_string(c.rank()) + ";";
+    const std::string merged =
+        c.barrier(mine, [&](std::span<const std::string* const> all) {
+          ++merges;
+          std::string out;
+          for (const std::string* s : all) out += *s;
+          return out;
+        });
+    EXPECT_EQ(merged, expected);
+  });
+  EXPECT_EQ(merges, 1);
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(rt.clock_of(r).now(), plain.clock_of(r).now()) << "rank " << r;
+  }
+  EXPECT_EQ(rt.fiber_scheduler()->switch_count(),
+            plain.fiber_scheduler()->switch_count());
+}
+
 TEST_P(CollectiveSweep, EveryCollectiveKeepsItsBarrierCount) {
   // A collective's barriers are its only scheduling points: N fiber starts
   // plus N - 1 resumes per barrier.  Computing a result once must not add
@@ -156,10 +191,12 @@ TEST_P(CollectiveSweep, EveryCollectiveKeepsItsBarrierCount) {
   rt.run([&](Comm& c) {
     // Two barriers each:
     c.barrier();
+    (void)c.barrier(c.rank(), [](std::span<const int* const> all) {
+      return *all.back();
+    });
     (void)c.allreduce(c.rank(), Op::Sum);
-    std::vector<int> v = {c.rank(), 1};
-    c.allreduce_inplace_untimed(std::span<int>(v), Op::Max);
     (void)c.allreduce_untimed(c.rank(), Op::Min);
+    const std::vector<int> v = {c.rank(), 1};
     (void)c.allgather_untimed(c.rank());
     (void)c.allgatherv(std::span<const int>(v));
     (void)c.gatherv(std::span<const int>(v), n - 1);

@@ -48,37 +48,50 @@ TEST(Collectives, AllreduceInplaceVector) {
   });
 }
 
-TEST(Collectives, AllreduceInplaceUntimedSumsWithoutTouchingClocks) {
+TEST(Collectives, AllreduceUntimedLeavesClocksAlone) {
   Runtime rt(4, test_machine());
   rt.run([](Comm& c) {
     c.clock().advance(0.001 * (c.rank() + 1));  // skewed clocks stay skewed
     const double before = c.clock().now();
-    std::vector<std::uint64_t> counts = {static_cast<std::uint64_t>(c.rank()),
-                                         1, 1ull << 40};
-    c.allreduce_inplace_untimed(std::span<std::uint64_t>(counts), Op::Sum);
-    EXPECT_EQ(counts, (std::vector<std::uint64_t>{6, 4, 4ull << 40}));
-    EXPECT_EQ(c.clock().now(), before);
-    std::vector<std::uint64_t> none;
-    c.allreduce_inplace_untimed(std::span<std::uint64_t>(none), Op::Sum);
+    EXPECT_EQ(c.allreduce_untimed(std::uint64_t{1} << 40, Op::Sum),
+              std::uint64_t{4} << 40);
+    EXPECT_EQ(c.allreduce_untimed(before, Op::Max), 0.004);
     EXPECT_EQ(c.clock().now(), before);
   });
 }
 
-TEST(Collectives, AllreduceInplaceUntimedRejectsUnequalLengths) {
+TEST(Collectives, AllreduceInplaceRejectsUnequalLengths) {
+  // One fold serves every reduction, and with it the check: no rank may
+  // read past a shorter peer's snapshot.
   Runtime rt(4, test_machine());
-  EXPECT_THROW(rt.run([](Comm& c) {
-                 std::vector<std::uint64_t> v(c.rank() == 2 ? 3 : 2, 1);
-                 c.allreduce_inplace_untimed(std::span<std::uint64_t>(v),
-                                             Op::Sum);
-               }),
-               InternalError);
-  // The timed reduction shares the fold, and with it the check: no rank
-  // may read past a shorter peer's snapshot.
   EXPECT_THROW(rt.run([](Comm& c) {
                  std::vector<double> v(c.rank() == 2 ? 3 : 2, 1.0);
                  c.allreduce_inplace(std::span<double>(v), Op::Sum);
                }),
                InternalError);
+}
+
+TEST(Collectives, BarrierMergeThatThrowsFailsTheRunCleanly) {
+  // The merge reads every rank's share, then throws on the rank that runs
+  // it.  Its peers must not rerun it over the unwound rank's share (each
+  // rerun would count here, and the sanitizers flag its read); run()
+  // rethrows the merge's error and the runtime stays usable.
+  Runtime rt(4, test_machine());
+  int merges = 0;
+  EXPECT_THROW(rt.run([&](Comm& c) {
+                 const std::vector<int> mine(64, c.rank());
+                 (void)c.barrier(
+                     mine, [&](std::span<const std::vector<int>* const> all) {
+                       ++merges;
+                       int sum = 0;
+                       for (const auto* v : all) sum += v->back();
+                       if (sum >= 0) throw ConfigError("merge failed");
+                       return sum;
+                     });
+               }),
+               ConfigError);
+  EXPECT_EQ(merges, 1);
+  rt.run([](Comm& c) { EXPECT_EQ(c.allreduce(1, Op::Sum), 4); });
 }
 
 TEST(Collectives, AllgathervVariableCounts) {

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "train/sim_trainer.hpp"
+
 namespace dds::train {
 namespace {
-
-using model::test_machine;
 
 TEST(PhaseProfile, AddAndGet) {
   PhaseProfile p;
@@ -17,12 +17,12 @@ TEST(PhaseProfile, AddAndGet) {
   EXPECT_DOUBLE_EQ(p.get(Phase::Backward), 0.0);
 }
 
-TEST(PhaseProfile, TotalExcludesRmaSubcategory) {
+TEST(PhaseProfile, TotalSumsEveryPhase) {
   PhaseProfile p;
   p.add(Phase::Load, 3.0);
-  p.add(Phase::RmaComm, 2.0);  // subset of Load: not double counted
+  p.add(Phase::GradComm, 2.0);
   p.add(Phase::Optimizer, 1.0);
-  EXPECT_DOUBLE_EQ(p.total(), 4.0);
+  EXPECT_DOUBLE_EQ(p.total(), 6.0);
 }
 
 TEST(PhaseProfile, MergeSums) {
@@ -58,15 +58,33 @@ TEST(PhaseProfile, NegativeTimeRejected) {
   EXPECT_THROW(p.add(Phase::Load, -0.5), InternalError);
 }
 
-TEST(PhaseProfile, AllreduceMeanAveragesAcrossRanks) {
-  simmpi::Runtime rt(4, test_machine());
-  rt.run([](simmpi::Comm& c) {
-    PhaseProfile p;
-    p.add(Phase::Load, static_cast<double>(c.rank() + 1));  // 1,2,3,4
-    const PhaseProfile mean = p.allreduce_mean(c);
-    EXPECT_DOUBLE_EQ(mean.get(Phase::Load), 2.5);
-    EXPECT_DOUBLE_EQ(mean.get(Phase::Forward), 0.0);
-  });
+TEST(EpochReport, MergeFoldsRankReportsInRankOrder) {
+  // Four ranks' own reports: durations 1..4 s, 10 samples each, Load 1..4
+  // s, one counter and an overlap per rank.
+  std::vector<EpochReport> own(4);
+  std::vector<const EpochReport*> ranks;
+  for (int r = 0; r < 4; ++r) {
+    EpochReport& e = own[static_cast<std::size_t>(r)];
+    e.epoch = 7;
+    e.epoch_seconds = r + 1.0;
+    e.global_samples = 10;
+    e.mean_profile.add(Phase::Load, r + 1.0);
+    e.metrics.push_back({"local_gets", static_cast<std::uint64_t>(r)});
+    e.overlap_hidden_s = 0.5;
+    ranks.push_back(&e);
+  }
+  const EpochReport job = EpochReport::merge(ranks);
+  EXPECT_EQ(job.epoch, 7u);
+  EXPECT_EQ(job.epoch_seconds, 4.0);
+  EXPECT_EQ(job.global_samples, 40u);
+  EXPECT_EQ(job.throughput, 10.0);
+  EXPECT_EQ(job.mean_profile.get(Phase::Load), 2.5);
+  EXPECT_EQ(job.mean_profile.get(Phase::Forward), 0.0);
+  EXPECT_EQ(job.metric("local_gets"), 6u);
+  EXPECT_EQ(job.overlap_hidden_s, 2.0);
+
+  own[2].metrics.clear();  // a rank reporting other counters
+  EXPECT_THROW((void)EpochReport::merge(ranks), InternalError);
 }
 
 TEST(PhaseProfile, PhaseNamesMatchPaperFigures) {

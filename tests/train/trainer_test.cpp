@@ -123,22 +123,81 @@ TEST_F(TrainTest, DDStoreFasterThanFileBackend) {
 }
 
 TEST_F(TrainTest, GatherLatenciesCollectsAllRanks) {
+  // Latencies are read on the host after the run: each rank's recorder,
+  // merged in rank order, holds every load of the epoch.
   simmpi::Runtime rt(2, machine_);
   const auto r = reader();
+  std::vector<LatencyRecorder> per_rank(2);
   rt.run([&](simmpi::Comm& c) {
     auto client = client_for(c);
     FileBackend backend(r, client, "CFF");
     GlobalShuffleSampler sampler(kSamples, 8, 4);
     SimulatedTrainer trainer(c, backend, sampler, machine_, {});
     trainer.run_epoch(0);
-    const auto all = trainer.gather_latencies();
-    if (c.rank() == 0) {
-      EXPECT_EQ(all.count(), kSamples / (8 * 2) * 8 * 2);
-      EXPECT_GT(all.median(), 0.0);
-    } else {
-      EXPECT_EQ(all.count(), 0u);
-    }
+    per_rank[static_cast<std::size_t>(c.rank())] =
+        *backend.metrics()->find_latency("sample_load_s");
   });
+  LatencyRecorder all;
+  for (const LatencyRecorder& lat : per_rank) {
+    EXPECT_EQ(lat.count(), kSamples / (8 * 2) * 8);
+    all.merge(lat);
+  }
+  EXPECT_EQ(all.count(), kSamples / (8 * 2) * 8 * 2);
+  EXPECT_GT(all.median(), 0.0);
+}
+
+TEST_F(TrainTest, EpochCostsTheStepLoopAndTwoBarriers) {
+  // Reporting adds no scheduling point: two trainer epochs switch fibers
+  // exactly as often as the bare step loop between two barriers.
+  constexpr int kRanks = 4;
+  const auto r = reader();
+  const auto switches = [&](bool trainer) {
+    simmpi::Runtime rt(kRanks, machine_);
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      FileBackend backend(r, client, "CFF");
+      GlobalShuffleSampler sampler(kSamples, 8, 4);
+      if (trainer) {
+        SimulatedTrainer t(c, backend, sampler, machine_, {});
+        for (std::uint64_t e = 0; e < 2; ++e) (void)t.run_epoch(e);
+        return;
+      }
+      StepPipeline p(c, backend, sampler, machine_, {});
+      for (std::uint64_t e = 0; e < 2; ++e) {
+        c.barrier();
+        p.begin_epoch(e);
+        while (!p.done()) p.step();
+        c.barrier();
+      }
+    });
+    return rt.fiber_scheduler()->switch_count();
+  };
+  EXPECT_EQ(switches(true), switches(false));
+}
+
+TEST_F(TrainTest, GpuFreeIsEqualOnEveryRank) {
+  // Each step's GPU ends when the shared gradient all-reduce does, so
+  // however skewed the ranks' loads, every rank's GPU frees at the same
+  // instant (the tenant driver reads its done time locally on this).
+  constexpr int kRanks = 3;
+  const auto r = reader();
+  std::vector<double> gpu_free(kRanks);
+  simmpi::Runtime rt(kRanks, machine_);
+  rt.run([&](simmpi::Comm& c) {
+    auto client = client_for(c);
+    FileBackend backend(r, client, "CFF");
+    GlobalShuffleSampler sampler(96, 8, 4);
+    StepPipeline p(c, backend, sampler, machine_, {});
+    c.barrier();
+    p.begin_epoch(0);
+    while (!p.done()) {
+      c.clock().advance(1e-3 * c.rank());  // skewed CPU work before a load
+      p.step();
+    }
+    gpu_free[static_cast<std::size_t>(c.rank())] = p.gpu_free();
+  });
+  EXPECT_GT(gpu_free[0], 0.0);
+  for (const double t : gpu_free) EXPECT_EQ(t, gpu_free[0]);
 }
 
 TEST_F(TrainTest, RealTrainerLossDecreases) {
