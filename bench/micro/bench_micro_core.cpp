@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark): the hot primitives underneath
 // every experiment — registry lookups, placement arithmetic, sample
 // (de)serialization, payload checksums, batch collation, spectrum
-// smoothing, page-cache access, and the contention primitive.  These
-// measure real wall time of this implementation (unlike the figure
-// benches, which report simulated time).
+// smoothing, page-cache access, the contention primitive, and the real
+// GNN's dense kernels.  These measure real wall time of this
+// implementation (unlike the figure benches, which report simulated time).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
@@ -12,6 +14,7 @@
 #include "core/registry.hpp"
 #include "datagen/molecule.hpp"
 #include "fs/pagecache.hpp"
+#include "gnn/pna.hpp"
 #include "graph/batch.hpp"
 #include "model/clock.hpp"
 
@@ -145,6 +148,92 @@ void BM_LatencyPercentile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatencyPercentile);
+
+// The real GNN's kernels at perfbench gnn_train's shapes: a local batch of
+// 8 molecules is ~392 nodes, the embedding maps 6 features to hidden 32,
+// PNA's update layer maps 13·32 = 416 to 32, and 8×32→128 is a wide head.
+gnn::Tensor random_tensor(std::size_t rows, std::size_t cols,
+                          std::uint64_t seed) {
+  Rng rng(seed);
+  gnn::Tensor t(rows, cols);
+  for (float& v : t.v) v = static_cast<float>(rng.normal());
+  return t;
+}
+
+void linear_shapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"rows", "in", "out"});
+  b->Args({392, 6, 32});
+  b->Args({392, 32, 32});
+  b->Args({392, 416, 32});
+  b->Args({8, 32, 128});
+}
+
+void BM_LinearForward(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto in = static_cast<std::size_t>(state.range(1));
+  const auto out = static_cast<std::size_t>(state.range(2));
+  Rng rng(11);
+  gnn::Linear layer(in, out, rng, "bench");
+  const gnn::Tensor x = random_tensor(rows, in, 12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward(x));
+  }
+}
+BENCHMARK(BM_LinearForward)->Apply(linear_shapes);
+
+void BM_LinearBackward(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto in = static_cast<std::size_t>(state.range(1));
+  const auto out = static_cast<std::size_t>(state.range(2));
+  Rng rng(13);
+  gnn::Linear layer(in, out, rng, "bench");
+  (void)layer.forward(random_tensor(rows, in, 14));
+  // Half the upstream gradient is zero, as behind a ReLU.
+  gnn::Tensor gout = random_tensor(rows, out, 15);
+  for (float& g : gout.v) g = std::max(g, 0.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.backward(gout));
+  }
+}
+BENCHMARK(BM_LinearBackward)->Apply(linear_shapes);
+
+graph::GraphBatch molecule_batch(std::size_t graphs) {
+  Rng rng(16);
+  std::vector<graph::GraphSample> samples;
+  for (std::size_t i = 0; i < graphs; ++i) {
+    samples.push_back(
+        datagen::molecule_to_sample(datagen::generate_molecule(rng), i));
+    samples.back().y = {0.0f};
+  }
+  return graph::GraphBatch::collate(samples);
+}
+
+void BM_PNAConvForward(benchmark::State& state) {
+  const auto hidden = static_cast<std::size_t>(state.range(0));
+  const graph::GraphBatch batch = molecule_batch(8);
+  Rng rng(17);
+  gnn::PNAConv conv(hidden, rng, "bench");
+  const gnn::Tensor h = random_tensor(batch.num_nodes, hidden, 18);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(h, batch));
+  }
+  state.counters["nodes"] = static_cast<double>(batch.num_nodes);
+}
+BENCHMARK(BM_PNAConvForward)->Arg(32);
+
+void BM_PNAConvBackward(benchmark::State& state) {
+  const auto hidden = static_cast<std::size_t>(state.range(0));
+  const graph::GraphBatch batch = molecule_batch(8);
+  Rng rng(19);
+  gnn::PNAConv conv(hidden, rng, "bench");
+  (void)conv.forward(random_tensor(batch.num_nodes, hidden, 20), batch);
+  const gnn::Tensor gout = random_tensor(batch.num_nodes, hidden, 21);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.backward(gout, batch));
+  }
+  state.counters["nodes"] = static_cast<double>(batch.num_nodes);
+}
+BENCHMARK(BM_PNAConvBackward)->Arg(32);
 
 }  // namespace
 

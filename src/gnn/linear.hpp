@@ -6,6 +6,10 @@
 
 namespace dds::gnn {
 
+/// y = x * W^T + b  (x: [n x in], W: [out x in], b: [out]) -> [n x out].
+Tensor linear_forward(const Tensor& x, const Tensor& w,
+                      const std::vector<float>& b);
+
 /// A named parameter (weights + gradient) exposed to optimizers and DDP.
 struct Param {
   std::string name;
@@ -17,8 +21,9 @@ class Linear {
  public:
   Linear(std::size_t in, std::size_t out, Rng& rng, std::string name);
 
-  /// y = x W^T + b; caches x for backward.
-  Tensor forward(const Tensor& x);
+  /// y = x W^T + b; caches x for backward.  Takes x by value so that a
+  /// caller done with its input moves it into the cache instead of copying.
+  Tensor forward(Tensor x);
 
   /// Accumulates dW/db from `gout` ([n x out]) and returns dx ([n x in]).
   Tensor backward(const Tensor& gout);

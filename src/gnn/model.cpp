@@ -32,7 +32,7 @@ Tensor HydraGnnModel::forward(const graph::GraphBatch& batch) {
   x.v = batch.node_features;
   cached_nodes_ = batch.num_nodes;
 
-  Tensor h = embed_relu_.forward(embed_.forward(x));
+  Tensor h = embed_relu_.forward(embed_.forward(std::move(x)));
   for (auto& layer : pna_) h = layer.forward(h, batch);
 
   // Mean pooling per graph.
@@ -54,9 +54,9 @@ Tensor HydraGnnModel::forward(const graph::GraphBatch& batch) {
 
   Tensor y = pooled;
   for (std::size_t l = 0; l < fc_.size(); ++l) {
-    y = fc_relu_[l].forward(fc_[l].forward(y));
+    y = fc_relu_[l].forward(fc_[l].forward(std::move(y)));
   }
-  return head_.forward(y);
+  return head_.forward(std::move(y));
 }
 
 void HydraGnnModel::backward(const Tensor& dpred,

@@ -65,6 +65,8 @@ Tensor PNAConv::forward(const Tensor& h, const graph::GraphBatch& batch) {
     auto std_i = std_.row(i);
     auto max_i = maxv.row(i);
     auto min_i = minv.row(i);
+    const std::span<std::uint32_t> argmax_i(argmax_.data() + i * H, H);
+    const std::span<std::uint32_t> argmin_i(argmin_.data() + i * H, H);
     for (std::size_t k = 0; k < H; ++k) {
       max_i[k] = -std::numeric_limits<float>::infinity();
       min_i[k] = std::numeric_limits<float>::infinity();
@@ -72,16 +74,17 @@ Tensor PNAConv::forward(const Tensor& h, const graph::GraphBatch& batch) {
     for (std::uint32_t e = in_offsets_[i]; e < in_offsets_[i + 1]; ++e) {
       const std::uint32_t j = in_sources_[e];
       const auto mj = m_.row(j);
+      // Selects, not branches, so the loop vectorizes.  The comparisons
+      // are strict, so on a tie the first in-edge keeps the argmax/argmin.
       for (std::size_t k = 0; k < H; ++k) {
-        mean_i[k] += mj[k];
-        if (mj[k] > max_i[k]) {
-          max_i[k] = mj[k];
-          argmax_[i * H + k] = j;
-        }
-        if (mj[k] < min_i[k]) {
-          min_i[k] = mj[k];
-          argmin_[i * H + k] = j;
-        }
+        const float v = mj[k];
+        mean_i[k] += v;
+        const bool above = v > max_i[k];
+        max_i[k] = above ? v : max_i[k];
+        argmax_i[k] = above ? j : argmax_i[k];
+        const bool below = v < min_i[k];
+        min_i[k] = below ? v : min_i[k];
+        argmin_i[k] = below ? j : argmin_i[k];
       }
     }
     const float inv_d = 1.0f / static_cast<float>(d);
@@ -120,7 +123,7 @@ Tensor PNAConv::forward(const Tensor& h, const graph::GraphBatch& batch) {
     }
   }
 
-  return relu_.forward(update_.forward(z));
+  return relu_.forward(update_.forward(std::move(z)));
 }
 
 Tensor PNAConv::backward(const Tensor& gout, const graph::GraphBatch& batch) {

@@ -2,9 +2,12 @@
 //
 // Row-major [rows x cols]; just enough linear algebra for HydraGNN-style
 // message passing with manual backpropagation.  No expression templates,
-// no views — clarity over peak FLOPs (the timing figures use the compute
-// *model*, not this implementation; this code exists so convergence is
-// real, Fig. 13).
+// no views.  The timing figures use the compute *model*, not this code;
+// it exists so convergence is real (Fig. 13), and its dense loops are the
+// host time of every real-training run.  Those loops (`linear.cpp`,
+// `pna.cpp`) are ordered so that GCC vectorizes them while every float
+// gets the same operations in the same order as in the textbook loops
+// (DESIGN.md, "Real GNN kernels").
 #pragma once
 
 #include <cstddef>
@@ -46,24 +49,5 @@ struct Tensor {
 
   static Tensor zeros_like(const Tensor& t) { return Tensor(t.rows, t.cols); }
 };
-
-/// y = x * W^T + b  (x: [n x in], W: [out x in], b: [out]) -> [n x out].
-inline Tensor linear_forward(const Tensor& x, const Tensor& w,
-                             const std::vector<float>& b) {
-  DDS_CHECK(x.cols == w.cols);
-  DDS_CHECK(b.size() == w.rows);
-  Tensor y(x.rows, w.rows);
-  for (std::size_t i = 0; i < x.rows; ++i) {
-    const auto xi = x.row(i);
-    auto yi = y.row(i);
-    for (std::size_t o = 0; o < w.rows; ++o) {
-      const auto wo = w.row(o);
-      float acc = b[o];
-      for (std::size_t k = 0; k < x.cols; ++k) acc += xi[k] * wo[k];
-      yi[o] = acc;
-    }
-  }
-  return y;
-}
 
 }  // namespace dds::gnn

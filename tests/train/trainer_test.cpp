@@ -272,5 +272,61 @@ TEST_F(TrainTest, SingleRankTrainingWorks) {
   });
 }
 
+/// Every rank's clock at the end of one real-training epoch.
+struct RealClockCase {
+  int nranks;
+  GradReduction reduction;
+  std::vector<double> clocks;
+};
+
+class RealTrainerClock : public TrainTest,
+                         public ::testing::WithParamInterface<RealClockCase> {};
+
+TEST_P(RealTrainerClock, EpochModeledTimeIsPinned) {
+  // The GNN's math runs on the host and charges no virtual time, so a
+  // change to its kernels must leave every rank's clock where it was.
+  const RealClockCase& tc = GetParam();
+  std::vector<double> clocks(static_cast<std::size_t>(tc.nranks));
+  simmpi::Runtime rt(tc.nranks, machine_);
+  const auto r = reader();
+  rt.run([&](simmpi::Comm& c) {
+    auto client = client_for(c);
+    FileBackend backend(r, client, "CFF");
+    RealTrainerConfig cfg;
+    cfg.gnn.input_dim = 2;
+    cfg.gnn.hidden = 8;
+    cfg.gnn.pna_layers = 1;
+    cfg.gnn.fc_layers = 1;
+    cfg.local_batch = 8;
+    cfg.reduction = tc.reduction;
+    RealTrainer trainer(c, backend, cfg);
+    (void)trainer.run_epoch(0);
+    clocks[static_cast<std::size_t>(c.rank())] = c.clock().now();
+  });
+  EXPECT_EQ(clocks, tc.clocks);
+}
+
+// Recorded before the GNN's dense loops were vectorized.
+constexpr double kPerRank2 = 0.032809594150000038;
+constexpr double kPerRank3 = 0.024864037450000029;
+constexpr double kCanonical2 = 0.032848755750000048;
+constexpr double kCanonical3 = 0.025772964525000039;
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndReductions, RealTrainerClock,
+    ::testing::Values(
+        RealClockCase{2, GradReduction::PerRank, {kPerRank2, kPerRank2}},
+        RealClockCase{3, GradReduction::PerRank,
+                      {kPerRank3, kPerRank3, kPerRank3}},
+        RealClockCase{2, GradReduction::Canonical, {kCanonical2, kCanonical2}},
+        RealClockCase{3, GradReduction::Canonical,
+                      {kCanonical3, kCanonical3, kCanonical3}}),
+    [](const ::testing::TestParamInfo<RealClockCase>& info) {
+      return std::string(info.param.reduction == GradReduction::PerRank
+                             ? "PerRank"
+                             : "Canonical") +
+             std::to_string(info.param.nranks);
+    });
+
 }  // namespace
 }  // namespace dds::train
