@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): the hot primitives underneath
 // every experiment — registry lookups, placement arithmetic, sample
-// (de)serialization, payload checksums, batch collation, spectrum
-// smoothing, page-cache access, the contention primitive, and the real
-// GNN's dense kernels.  These measure real wall time of this
+// (de)serialization, payload checksums, batch collation, the sample cache
+// and the batch fetch planner, spectrum smoothing, page-cache access, the
+// contention primitive, and the real GNN's dense kernels.  These measure real wall time of this
 // implementation (unlike the figure benches, which report simulated time).
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,8 @@
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "core/fetch/cache.hpp"
+#include "core/fetch_plan.hpp"
 #include "core/registry.hpp"
 #include "datagen/molecule.hpp"
 #include "fs/pagecache.hpp"
@@ -98,6 +100,65 @@ void BM_CollateBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CollateBatch)->Arg(32)->Arg(128);
+
+void BM_SampleCacheChurn(benchmark::State& state) {
+  // One rank of perfbench tiered_batch_64: its 1,024-sample shard in a
+  // fresh order every pass (local shuffle), ~3 KB payloads, and a 2 MiB
+  // cache that holds about two thirds of the shard, so misses evict.
+  constexpr std::uint64_t kShard = 1024;
+  Rng rng(22);
+  std::vector<ByteBuffer> payloads(kShard);
+  for (ByteBuffer& p : payloads) {
+    p.assign(2560 + rng.uniform_u64(1024), std::byte{0x3c});
+  }
+  core::fetch::SampleCache cache(2 * 1024 * 1024);
+  std::vector<std::uint64_t> order = rng.permutation(kShard);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == order.size()) {
+      rng.shuffle(order);
+      next = 0;
+    }
+    const std::uint64_t id = order[next++];
+    if (!cache.lookup(id)) cache.insert(id, ByteSpan(payloads[id]));
+  }
+}
+BENCHMARK(BM_SampleCacheChurn);
+
+void BM_PlanBatchFetch(benchmark::State& state) {
+  // A coalesced batch of 32 ids drawn across a 65,536-sample dataset
+  // striped over 8 owners, with a cache predicate that claims every even
+  // id: the plan dedupes, diverts the cached half and groups the rest.
+  constexpr std::uint64_t kSamples = 65'536;
+  constexpr int kWidth = 8;
+  const core::ChunkAssignment assignment(kSamples, kWidth,
+                                         core::Placement::Block);
+  Rng rng(23);
+  std::vector<std::uint32_t> lengths(kSamples);
+  for (std::uint32_t& l : lengths) {
+    l = 2560 + static_cast<std::uint32_t>(rng.uniform_u64(1024));
+  }
+  std::vector<std::size_t> counts;
+  for (int g = 0; g < kWidth; ++g) counts.push_back(assignment.chunk_size(g));
+  const auto reg = core::DataRegistry::build(assignment, lengths, counts);
+  core::fetch::SampleCache cache(kSamples);
+  const std::byte one{1};
+  for (std::uint64_t id = 0; id < kSamples; id += 2) {
+    cache.insert(id, ByteSpan(&one, 1));
+  }
+  const auto is_cached = [&cache](std::uint64_t id) {
+    return cache.contains(id);
+  };
+  std::vector<std::uint64_t> ids(32 * 64);
+  for (std::uint64_t& id : ids) id = rng.uniform_u64(kSamples);
+  std::size_t batch = 0;
+  for (auto _ : state) {
+    const std::span<const std::uint64_t> request(ids.data() + 32 * batch, 32);
+    benchmark::DoNotOptimize(plan_batch_fetch(*reg, request, is_cached));
+    batch = (batch + 1) % 64;
+  }
+}
+BENCHMARK(BM_PlanBatchFetch);
 
 void BM_SmoothSpectrum(benchmark::State& state) {
   Rng rng(6);

@@ -31,6 +31,13 @@ template <typename T>
 concept TriviallySerializable =
     std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>;
 
+/// True when [offset, offset + len) lies inside `size` bytes.  Unlike
+/// `offset + len <= size`, it cannot wrap: an offset near 2^64 fails.
+constexpr bool range_within(std::uint64_t offset, std::uint64_t len,
+                            std::uint64_t size) {
+  return offset <= size && len <= size - offset;
+}
+
 /// Appends fixed-width little-endian values to a ByteBuffer.
 class BinaryWriter {
  public:

@@ -14,11 +14,18 @@
 // Timing for a hit is charged by the engine (CpuParams::cache_hit_service_s
 // plus a modeled memcpy of the nominal payload), not here: the cache itself
 // is pure bookkeeping, like the fetch planner.
+//
+// Layout: a slab of LRU nodes linked by index, found through an
+// open-addressing id table (linear probing, backward-shift deletion).  The
+// slab and the table grow to the most entries ever resident and are reused
+// from then on, so a steady-state admission costs exactly one allocation:
+// its payload, sized exactly, which eviction frees.  Payload buffers are
+// never recycled — a recycled buffer keeps its largest size.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -37,12 +44,12 @@ class SampleCache {
   /// stage probes residency without perturbing LRU state; only serving a
   /// hit (lookup) promotes.
   bool contains(std::uint64_t id) const {
-    return index_.find(id) != index_.end();
+    return !slots_.empty() && slots_[slot_of(id)] != kNone;
   }
 
   /// Returns the resident payload and promotes it to most-recently-used,
-  /// or nullptr on a miss.  The pointer stays valid until the next insert.
-  const ByteBuffer* lookup(std::uint64_t id);
+  /// or nullopt on a miss.  The view stays valid until the next insert.
+  std::optional<ByteSpan> lookup(std::uint64_t id);
 
   /// Admits a verified payload, evicting least-recently-used entries until
   /// the cache fits its capacity again.  Returns the number of evictions.
@@ -52,21 +59,50 @@ class SampleCache {
 
   std::uint64_t capacity_bytes() const { return capacity_; }
   std::uint64_t size_bytes() const { return size_; }
-  std::size_t entries() const { return lru_.size(); }
+  std::size_t entries() const { return entries_; }
 
   /// Resident ids from most- to least-recently-used (tests/diagnostics).
   std::vector<std::uint64_t> ids_mru_to_lru() const;
 
  private:
-  struct Entry {
-    std::uint64_t id;
-    ByteBuffer bytes;
+  static constexpr std::uint32_t kNone = 0xffff'ffffu;
+
+  /// One slab slot: a resident payload, or a free slot whose `next` links
+  /// the free list.
+  struct Node {
+    std::uint64_t id = 0;
+    std::unique_ptr<std::byte[]> bytes;
+    std::size_t length = 0;
+    std::uint32_t prev = kNone;  ///< toward the most recently used
+    std::uint32_t next = kNone;  ///< toward the least recently used
   };
+
+  /// Table slot holding `id`, or the empty slot where its probe ends.
+  /// Requires a non-empty table.
+  std::size_t slot_of(std::uint64_t id) const;
+  std::size_t home_of(std::uint64_t id) const;
+  /// Empties table slot `hole`, shifting later entries of its probe run
+  /// back so every lookup still finds them without tombstones.
+  void erase_slot(std::size_t hole);
+  /// Doubles the table (at least 16 slots) and reinserts every entry.
+  void grow_table();
+
+  void unlink(std::uint32_t n);
+  void push_front(std::uint32_t n);
+  /// Drops the least recently used entry and frees its payload.
+  void evict_lru();
 
   std::uint64_t capacity_;
   std::uint64_t size_ = 0;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::size_t entries_ = 0;
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = kNone;  ///< head of the free-slot list
+  std::uint32_t mru_ = kNone;
+  std::uint32_t lru_ = kNone;
+  /// Open-addressing id table: node indices, kNone when empty.  Its size
+  /// is a power of two kept at least twice the entry count.
+  std::vector<std::uint32_t> slots_;
+  int shift_ = 64;  ///< 64 - log2(slots_.size())
 };
 
 }  // namespace dds::core::fetch

@@ -1,8 +1,10 @@
 #include "core/fetch/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "common/tracing/tracer.hpp"
 
@@ -63,15 +65,16 @@ void FetchEngine::charge_hit(MetricsRegistry::Counter& hits,
                            cpu.memcpy_bandwidth_Bps);
 }
 
-void FetchEngine::serve_hit(const ByteBuffer* bytes,
+void FetchEngine::serve_hit(std::optional<ByteSpan> bytes,
                             MetricsRegistry::Counter& hits,
                             MetricsRegistry::Counter& hit_bytes,
-                            const char* name, const PlannedSample& sample,
+                            const char* name, const FetchPlan& plan,
+                            const PlannedSample& sample,
                             std::vector<graph::GraphSample>& out) {
-  DDS_CHECK(bytes != nullptr);
+  DDS_CHECK(bytes.has_value());
   const double t0 = ctx_.clock().now();
   charge_hit(hits, hit_bytes, name, sample.id, sample.length);
-  decode_occurrences(sample, ByteSpan(*bytes), ctx_.clock().now() - t0, out);
+  decode_occurrences(plan, sample, *bytes, ctx_.clock().now() - t0, out);
 }
 
 void FetchEngine::admit(std::uint64_t id, ByteSpan bytes) {
@@ -91,21 +94,32 @@ void FetchEngine::account_get(int owner, std::uint64_t length) {
 
 ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
   const auto& entry = ctx_.registry().lookup(id);
+  ByteBuffer out(entry.length);
+  load_payload(id, entry, MutableByteSpan(out));
+  return out;
+}
+
+void FetchEngine::load_payload(std::uint64_t id,
+                               const DataRegistry::Entry& entry,
+                               MutableByteSpan dst) {
+  DDS_CHECK(dst.size() == entry.length);
   // Cache stage first, for every id: a hit never takes a lock epoch,
   // consumes no retry budget, and touches no target's breaker (see
   // DESIGN.md invariant).  After an elastic reshard narrows the hot prefix,
   // a previously-hot sample can be both cached and cold — the cheaper
   // cache hit wins until eviction retires it, as on the planned path.
-  if (const ByteBuffer* hit = cache_.enabled() ? cache_.lookup(id) : nullptr) {
+  if (const auto hit = cache_.enabled() ? cache_.lookup(id) : std::nullopt) {
     charge_hit(metrics_.cache_hits, metrics_.cache_hit_bytes, "cache_hit", id,
                entry.length);
-    return *hit;
+    std::memcpy(dst.data(), hit->data(), dst.size());
+    return;
   }
   // Staging stage owns every cold miss: cold ids live in the staged set,
   // never the sample cache, so the hot working set and the staged set
   // never compete for the same budget.
   if (staging_ && staging_->is_cold(id)) {
-    return get_cold_bytes(id, entry);
+    load_cold(id, entry, dst);
+    return;
   }
   if (cache_.enabled()) {
     ++metrics_.cache_misses;
@@ -116,10 +130,8 @@ ByteBuffer FetchEngine::get_bytes(std::uint64_t id) {
                   args);
     }
   }
-  ByteBuffer out(entry.length);
-  fetch_into(id, MutableByteSpan(out));
-  admit(id, ByteSpan(out));
-  return out;
+  fetch_into(id, dst);
+  admit(id, dst);
 }
 
 void FetchEngine::fetch_into(std::uint64_t id, MutableByteSpan dst) {
@@ -157,41 +169,76 @@ std::vector<graph::GraphSample> FetchEngine::get_batch(
 
 std::vector<graph::GraphSample> FetchEngine::get_batch_per_sample(
     std::span<const std::uint64_t> ids) {
-  std::vector<graph::GraphSample> out(ids.size());
-  auto& clock = ctx_.clock();
   // Fetch each distinct id once (first occurrence pays the wire — or the
   // cache), decode per occurrence; fetch order is request order of first
-  // occurrences.
-  std::unordered_map<std::uint64_t, ByteBuffer> fetched;
-  fetched.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::uint64_t id = ids[i];
+  // occurrences.  Every payload lands in one uninitialized arena, a slot
+  // per distinct id.  Hits are copied in too: a later admission in this
+  // batch may evict them before a repeat of their id is decoded.
+  struct Slot {
+    std::uint64_t id;
+    std::uint64_t offset;  ///< of the id's payload in the arena
+    std::uint32_t pos;     ///< request position
+    bool first;            ///< the id's first occurrence in the request
+  };
+  std::vector<Slot> slots(ids.size());
+  for (std::uint32_t i = 0; i < slots.size(); ++i) {
+    slots[i] = Slot{ids[i], 0, i, false};
+  }
+  // Group each id's occurrences, first one first, to give every distinct
+  // id one arena slot; then restore request order.
+  const auto by_id = [](const Slot& a, const Slot& b) {
+    return a.id != b.id ? a.id < b.id : a.pos < b.pos;
+  };
+  const auto by_pos = [](const Slot& a, const Slot& b) {
+    return a.pos < b.pos;
+  };
+  std::sort(slots.begin(), slots.end(), by_id);
+  std::uint64_t arena_bytes = 0;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    Slot& s = slots[k];
+    s.first = k == 0 || s.id != slots[k - 1].id;
+    if (s.first) {
+      s.offset = arena_bytes;
+      arena_bytes += ctx_.registry().lookup(s.id).length;
+    } else {
+      s.offset = slots[k - 1].offset;
+    }
+  }
+  std::sort(slots.begin(), slots.end(), by_pos);
+  const auto arena = std::make_unique_for_overwrite<std::byte[]>(arena_bytes);
+
+  std::vector<graph::GraphSample> out(ids.size());
+  auto& clock = ctx_.clock();
+  for (const Slot& s : slots) {
     const double t0 = clock.now();
-    auto it = fetched.find(id);
-    if (it == fetched.end()) {
-      it = fetched.emplace(id, get_bytes(id)).first;
+    const auto& entry = ctx_.registry().lookup(s.id);
+    const MutableByteSpan bytes(arena.get() + s.offset, entry.length);
+    if (s.first) {
+      load_payload(s.id, entry, bytes);
     } else {
       ++metrics_.batch_dup_hits;
     }
     decode_.charge(clock, ctx_.nominal_sample_bytes);
-    out[i] = graph::GraphSample::deserialize(it->second);
+    out[s.pos] = graph::GraphSample::deserialize(bytes);
     metrics_.latency.add(clock.now() - t0);
   }
   return out;
 }
 
-ByteBuffer FetchEngine::get_cold_bytes(std::uint64_t id,
-                                       const DataRegistry::Entry& entry) {
-  if (const ByteBuffer* hit = staging_->staged_lookup(id)) {
+void FetchEngine::load_cold(std::uint64_t id, const DataRegistry::Entry& entry,
+                            MutableByteSpan dst) {
+  if (const auto hit = staging_->staged_lookup(id)) {
     charge_hit(metrics_.staged_hits, metrics_.staged_hit_bytes, "staged_hit",
                id, entry.length);
-    return *hit;
+    std::memcpy(dst.data(), hit->data(), dst.size());
+    return;
   }
   // Synchronous miss: enqueue and immediately drain.  The queue still
   // serializes the issue time against the previous staging_depth reads, so
   // single-sample callers see the same device backpressure batches do.
   staging_->enqueue(id, entry);
-  return staging_->drain(id);
+  const ByteSpan bytes = staging_->drain(id);
+  std::memcpy(dst.data(), bytes.data(), dst.size());
 }
 
 std::vector<graph::GraphSample> FetchEngine::get_batch_coalesced(
@@ -204,20 +251,16 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_coalesced(
   // `contains`/`is_cold` do not promote — the authoritative lookups that
   // serve the hits do.
   const bool tiered = staging_.has_value();
-  std::vector<PlannedSample> diverted;
   std::optional<tracing::Span> plan_span;
   plan_span.emplace(ctx_.tracer(), ctx_.clock(), tracing::Category::Fetch,
                     "plan");
-  const FetchPlan plan =
-      (cache_.enabled() || tiered)
-          ? plan_batch_fetch(
-                ctx_.registry(), ids,
-                [this, tiered](std::uint64_t id) {
-                  return cache_.contains(id) ||
-                         (tiered && staging_->is_cold(id));
-                },
-                &diverted)
-          : plan_batch_fetch(ctx_.registry(), ids);
+  std::function<bool(std::uint64_t)> resident;
+  if (cache_.enabled() || tiered) {
+    resident = [this, tiered](std::uint64_t id) {
+      return cache_.contains(id) || (tiered && staging_->is_cold(id));
+    };
+  }
+  const FetchPlan plan = plan_batch_fetch(ctx_.registry(), ids, resident);
   plan_span->args().bytes = static_cast<std::int64_t>(plan.total_bytes());
   plan_span.reset();
   std::vector<graph::GraphSample> out(ids.size());
@@ -229,114 +272,138 @@ std::vector<graph::GraphSample> FetchEngine::get_batch_coalesced(
     metrics_.cache_misses += plan.unique_samples;
   }
 
-  // Partition the diverted samples.  Cache first: after an elastic reshard
-  // narrows the hot prefix, a previously-hot sample can be both cached and
-  // cold — the cheaper cache hit wins until eviction retires it.
-  std::vector<PlannedSample> cached;
-  std::vector<PlannedSample> staged;
-  std::vector<PlannedSample> cold_misses;
-  for (PlannedSample& s : diverted) {
-    if (cache_.contains(s.id)) {
-      cached.push_back(std::move(s));
-    } else if (staging_->staged_contains(s.id)) {
-      staged.push_back(std::move(s));
-    } else {
-      cold_misses.push_back(std::move(s));
+  // Partition the diverted samples by index, ascending id within each
+  // part: [cached | staged | cold misses].  Cache first: after an elastic
+  // reshard narrows the hot prefix, a previously-hot sample can be both
+  // cached and cold — the cheaper cache hit wins until eviction retires it.
+  const std::vector<PlannedSample>& diverted = plan.diverted;
+  std::vector<std::uint32_t> parts;
+  parts.reserve(diverted.size());
+  for (std::uint32_t i = 0; i < diverted.size(); ++i) {
+    if (cache_.contains(diverted[i].id)) parts.push_back(i);
+  }
+  const std::size_t staged_begin = parts.size();
+  if (tiered) {
+    for (std::uint32_t i = 0; i < diverted.size(); ++i) {
+      const std::uint64_t id = diverted[i].id;
+      if (!cache_.contains(id) && staging_->staged_contains(id)) {
+        parts.push_back(i);
+      }
     }
   }
+  const std::size_t cold_begin = parts.size();
+  if (tiered) {
+    for (std::uint32_t i = 0; i < diverted.size(); ++i) {
+      const std::uint64_t id = diverted[i].id;
+      if (!cache_.contains(id) && !staging_->staged_contains(id)) {
+        parts.push_back(i);
+      }
+    }
+  }
+  const auto cached = std::span(parts).first(staged_begin);
+  const auto staged =
+      std::span(parts).subspan(staged_begin, cold_begin - staged_begin);
+  const auto cold_misses = std::span(parts).subspan(cold_begin);
 
   // Staging stage, issue side: enqueue every cold miss *now*, before any
   // lock epoch opens — the modeled storage reads then overlap the hot RMA
   // transfers below (the queue never advances the clock at enqueue).
-  for (const PlannedSample& s : cold_misses) {
-    staging_->enqueue(s.id, ctx_.registry().lookup(s.id));
+  for (const std::uint32_t i : cold_misses) {
+    staging_->enqueue(diverted[i].id, ctx_.registry().lookup(diverted[i].id));
   }
 
   // Cache stage: serve every resident sample before any lock epoch opens.
-  for (const PlannedSample& s : cached) {
-    serve_hit(cache_.lookup(s.id), metrics_.cache_hits,
-              metrics_.cache_hit_bytes, "cache_hit", s, out);
+  for (const std::uint32_t i : cached) {
+    serve_hit(cache_.lookup(diverted[i].id), metrics_.cache_hits,
+              metrics_.cache_hit_bytes, "cache_hit", plan, diverted[i], out);
   }
-  for (const PlannedSample& s : staged) {
-    serve_hit(staging_->staged_lookup(s.id), metrics_.staged_hits,
-              metrics_.staged_hit_bytes, "staged_hit", s, out);
+  for (const std::uint32_t i : staged) {
+    serve_hit(staging_->staged_lookup(diverted[i].id), metrics_.staged_hits,
+              metrics_.staged_hit_bytes, "staged_hit", plan, diverted[i], out);
   }
 
+  // Every target's transfer lands back-to-back in one uninitialized arena;
+  // samples are verified and decoded out of it by planned offset.
+  const auto arena =
+      std::make_unique_for_overwrite<std::byte[]>(plan.total_bytes());
+  std::vector<simmpi::Window::GetSegment> segments;
+  segments.reserve(plan.total_ranges());
+  std::byte* landing_begin = arena.get();
   for (const TargetPlan& tp : plan.targets) {
-    // Stage every merged range of this target in one vectored transfer,
-    // then verify and decode sample by sample.
-    ByteBuffer staging(tp.bytes);
+    const MutableByteSpan landing(landing_begin, tp.bytes);
+    landing_begin += tp.bytes;
     const double t0 = clock.now();
-    const bool delivered = run_coalesced_transfer(tp, MutableByteSpan(staging));
+    const bool delivered = run_coalesced_transfer(plan, tp, landing, segments);
     const double fetch_share =
-        (clock.now() - t0) / static_cast<double>(tp.samples.size());
+        (clock.now() - t0) / static_cast<double>(tp.num_samples);
     bool fell_back = false;
-    for (const PlannedSample& s : tp.samples) {
+    for (const PlannedSample& s : plan.samples_of(tp)) {
       const auto& entry = ctx_.registry().lookup(s.id);
-      const ByteSpan view(staging.data() + s.staging_offset, s.length);
+      const MutableByteSpan view = landing.subspan(s.staging_offset, s.length);
       if (delivered && resilience_.payload_intact(entry, view)) {
         account_get(tp.owner, entry.length);
         admit(s.id, view);
-        decode_occurrences(s, view, fetch_share, out);
+        decode_occurrences(plan, s, view, fetch_share, out);
       } else {
         // Degrade to the per-sample resilient path for this id only: the
         // transfer lost the whole target (transport) or just this sample
         // (checksum); either way retries/failover/FS-fallback still apply.
+        // The refetch overwrites the sample's slot in the arena.
         fell_back = true;
         const double tf = clock.now();
-        ByteBuffer bytes(entry.length);
-        fetch_into(s.id, MutableByteSpan(bytes));
-        admit(s.id, ByteSpan(bytes));
-        decode_occurrences(s, ByteSpan(bytes), clock.now() - tf, out);
+        fetch_into(s.id, view);
+        admit(s.id, view);
+        decode_occurrences(plan, s, view, clock.now() - tf, out);
       }
     }
     if (fell_back) ++metrics_.coalesced_fallbacks;
   }
 
   // Staging stage, drain side: collect the cold reads issued before the
-  // hot transfers.  Any read that completed while the RMA traffic ran
-  // drains for free; the stage_wait recorder captures what didn't hide.
-  for (const PlannedSample& s : cold_misses) {
+  // hot transfers, in enqueue order.  Any read that completed while the
+  // RMA traffic ran drains for free; the stage_wait recorder captures what
+  // didn't hide.
+  for (const std::uint32_t i : cold_misses) {
     const double t0 = clock.now();
-    const ByteBuffer bytes = staging_->drain(s.id);
-    decode_occurrences(s, ByteSpan(bytes), clock.now() - t0, out);
+    const ByteSpan bytes = staging_->drain(diverted[i].id);
+    decode_occurrences(plan, diverted[i], bytes, clock.now() - t0, out);
   }
   return out;
 }
 
-bool FetchEngine::run_coalesced_transfer(const TargetPlan& tp,
-                                         MutableByteSpan staging) {
+bool FetchEngine::run_coalesced_transfer(
+    const FetchPlan& plan, const TargetPlan& tp, MutableByteSpan landing,
+    std::vector<simmpi::Window::GetSegment>& segments) {
   const int target = ctx_.primary_target(tp.owner);
-  std::vector<simmpi::Window::GetSegment> segments;
-  segments.reserve(tp.ranges.size());
+  segments.clear();
   std::size_t pos = 0;
-  for (const PlannedRange& r : tp.ranges) {
-    segments.push_back(
-        {static_cast<std::size_t>(r.offset),
-         MutableByteSpan(staging.data() + pos,
-                         static_cast<std::size_t>(r.length))});
-    pos += static_cast<std::size_t>(r.length);
+  for (const PlannedRange& r : plan.ranges_of(tp)) {
+    const auto length = static_cast<std::size_t>(r.length);
+    segments.push_back({static_cast<std::size_t>(r.offset),
+                        landing.subspan(pos, length)});
+    pos += length;
   }
-  DDS_CHECK(pos == staging.size());
+  DDS_CHECK(pos == landing.size());
 
   transport_.lock(target);
   ++metrics_.coalesced_transfers;
   metrics_.coalesced_segments += segments.size();
   const RmaTransport::Transfer t =
       transport_.getv(segments, target,
-                      ctx_.nominal_sample_bytes * tp.samples.size(),
+                      ctx_.nominal_sample_bytes * tp.num_samples,
                       ctx_.clock().now());
   ctx_.clock().advance_to(t.done);
   transport_.unlock(target);
-  if (t.delivered) metrics_.coalesced_bytes += staging.size();
+  if (t.delivered) metrics_.coalesced_bytes += landing.size();
   return t.delivered;
 }
 
-void FetchEngine::decode_occurrences(const PlannedSample& sample,
+void FetchEngine::decode_occurrences(const FetchPlan& plan,
+                                     const PlannedSample& sample,
                                      ByteSpan bytes, double fetch_share,
                                      std::vector<graph::GraphSample>& out) {
   auto& clock = ctx_.clock();
-  for (const std::uint32_t pos : sample.positions) {
+  for (const std::uint32_t pos : plan.positions_of(sample)) {
     const double t0 = clock.now();
     decode_.charge(clock, ctx_.nominal_sample_bytes);
     out[pos] = graph::GraphSample::deserialize(bytes);

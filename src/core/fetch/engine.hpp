@@ -61,7 +61,8 @@ class FetchEngine {
 
   /// Fetches a batch in request order — duplicates and all — under the
   /// configured BatchFetchMode; repeated ids are fetched once and decoded
-  /// per occurrence.
+  /// per occurrence.  The batch's fetched payloads land in one
+  /// uninitialized arena, freed when the call returns.
   std::vector<graph::GraphSample> get_batch(std::span<const std::uint64_t> ids);
 
   const SampleCache& cache() const { return cache_; }
@@ -90,26 +91,36 @@ class FetchEngine {
   /// transfer attempt), then the Verify/Account bookkeeping.
   void fetch_into(std::uint64_t id, MutableByteSpan dst);
 
+  /// Serves one sample's payload into `dst` (entry.length bytes): a cache
+  /// hit, the cold tier, or a resilient fetch whose bytes are then
+  /// admitted to the cache.
+  void load_payload(std::uint64_t id, const DataRegistry::Entry& entry,
+                    MutableByteSpan dst);
+
   std::vector<graph::GraphSample> get_batch_per_sample(
       std::span<const std::uint64_t> ids);
   std::vector<graph::GraphSample> get_batch_coalesced(
       std::span<const std::uint64_t> ids);
 
-  /// Executes one target's coalesced transfer: lock, vectored get, unlock.
+  /// Executes one target's coalesced transfer into `landing`: lock,
+  /// vectored get, unlock.  `segments` is scratch reused across targets.
   /// Returns false when the transport failed (caller falls back to
   /// per-sample resilient fetches for this target's ids).
-  bool run_coalesced_transfer(const TargetPlan& tp, MutableByteSpan staging);
+  bool run_coalesced_transfer(
+      const FetchPlan& plan, const TargetPlan& tp, MutableByteSpan landing,
+      std::vector<simmpi::Window::GetSegment>& segments);
 
-  /// Decodes `bytes` once per occurrence listed in `sample`, charging the
+  /// Decodes `bytes` once per request position of `sample`, charging the
   /// decode cost and recording `fetch_share + decode` latency each time.
-  void decode_occurrences(const PlannedSample& sample, ByteSpan bytes,
-                          double fetch_share,
+  void decode_occurrences(const FetchPlan& plan, const PlannedSample& sample,
+                          ByteSpan bytes, double fetch_share,
                           std::vector<graph::GraphSample>& out);
 
   /// Staging stage, single-sample path: staged-set hit or a synchronous
   /// enqueue+drain through the cold tier (the queue still serializes issue
   /// times, so depth backpressure applies even without batch overlap).
-  ByteBuffer get_cold_bytes(std::uint64_t id, const DataRegistry::Entry& entry);
+  void load_cold(std::uint64_t id, const DataRegistry::Entry& entry,
+                 MutableByteSpan dst);
 
   /// Bookkeeping of one cache or staged-set hit: counts it in `hits` and
   /// `hit_bytes`, and charges its modeled cost (lookup service + memcpy of
@@ -120,9 +131,9 @@ class FetchEngine {
 
   /// Serves one planned sample from resident `bytes` (the cache's or the
   /// staged set's lookup): charges the hit, then decodes every occurrence.
-  void serve_hit(const ByteBuffer* bytes, MetricsRegistry::Counter& hits,
+  void serve_hit(std::optional<ByteSpan> bytes, MetricsRegistry::Counter& hits,
                  MetricsRegistry::Counter& hit_bytes, const char* name,
-                 const PlannedSample& sample,
+                 const FetchPlan& plan, const PlannedSample& sample,
                  std::vector<graph::GraphSample>& out);
 
   /// Scheduling accounting (no-op unless locality_mode != Shuffle): counts

@@ -21,38 +21,36 @@ std::uint64_t auto_staged_capacity(const FetchContext& ctx) {
 
 StagingStage::StagingStage(const FetchContext& ctx)
     : ctx_(&ctx),
+      recent_dones_(
+          static_cast<std::size_t>(ctx.config->tiered.staging_depth)),
       staged_(ctx.config->tiered.staged_set_bytes != 0
                   ? ctx.config->tiered.staged_set_bytes
                   : auto_staged_capacity(ctx)) {}
 
 void StagingStage::enqueue(std::uint64_t id,
                            const DataRegistry::Entry& entry) {
-  for (const InFlight& f : queue_) {
-    if (f.id == id) return;  // already in flight
-  }
-  const TieredConfig& cfg = ctx_->config->tiered;
   FetchMetrics& m = *ctx_->metrics;
   auto& clock = ctx_->clock();
 
   // Data plane: cold bytes come out of the owner's exposed region — the
   // same memory every other fetch path reads, so tiering can never change
-  // a delivered byte.
+  // a delivered byte.  They are copied when the read drains.
   const auto* region = static_cast<const std::byte*>(
       ctx_->window->region_data(
           ctx_->primary_target(static_cast<int>(entry.owner))));
   InFlight f;
   f.id = id;
-  f.bytes.assign(region + entry.offset, region + entry.offset + entry.length);
+  f.bytes = ByteSpan(region + entry.offset, entry.length);
 
   // Timing plane: the read issues when a queue slot frees — the completion
   // of the read staging_depth places ahead of this one — and its own
   // completion is modeled now, with no clock movement (the transport's
   // discipline).
   double ready = clock.now();
-  if (recent_dones_.size() >= static_cast<std::size_t>(cfg.staging_depth)) {
-    const double slot_free =
-        recent_dones_[recent_dones_.size() -
-                      static_cast<std::size_t>(cfg.staging_depth)];
+  const std::size_t depth = recent_dones_.size();
+  const std::size_t slot = enqueued_ % depth;
+  if (enqueued_ >= depth) {
+    const double slot_free = recent_dones_[slot];
     if (slot_free > ready) {
       ready = slot_free;
       ++m.stage_backpressure_delays;
@@ -68,28 +66,27 @@ void StagingStage::enqueue(std::uint64_t id,
     tr->instant(tracing::Category::Fetch, "stage_enqueue", clock.now(), args);
   }
 
-  recent_dones_.push_back(f.done);
-  while (recent_dones_.size() > static_cast<std::size_t>(cfg.staging_depth)) {
-    recent_dones_.pop_front();
-  }
-  queue_.push_back(std::move(f));
+  recent_dones_[slot] = f.done;
+  ++enqueued_;
+  queue_.push_back(f);
 }
 
-ByteBuffer StagingStage::drain(std::uint64_t id) {
-  const auto it = std::find_if(queue_.begin(), queue_.end(),
-                               [id](const InFlight& f) { return f.id == id; });
-  DDS_CHECK_MSG(it != queue_.end(), "drain of a sample never enqueued");
+ByteSpan StagingStage::drain(std::uint64_t id) {
+  DDS_CHECK_MSG(head_ < queue_.size() && queue_[head_].id == id,
+                "drain out of enqueue order");
+  const InFlight f = queue_[head_];
+  if (++head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  }
   FetchMetrics& m = *ctx_->metrics;
   auto& clock = ctx_->clock();
-  const double wait = std::max(0.0, it->done - clock.now());
-  clock.advance_to(it->done);
+  const double wait = std::max(0.0, f.done - clock.now());
+  clock.advance_to(f.done);
   m.stage_wait.add(wait);
-  m.staged_bytes += it->bytes.size();
-
-  ByteBuffer bytes = std::move(it->bytes);
-  queue_.erase(it);
-  m.staged_evictions += staged_.insert(id, ByteSpan(bytes));
-  return bytes;
+  m.staged_bytes += f.bytes.size();
+  m.staged_evictions += staged_.insert(id, f.bytes);
+  return f.bytes;
 }
 
 }  // namespace dds::core::fetch

@@ -8,6 +8,12 @@ namespace dds::formats {
 namespace {
 constexpr std::uint32_t kMagic = 0x4646'4344;  // "DCFF"
 constexpr std::uint16_t kVersion = 1;
+
+/// Bytes of a subfile's header and index, before its first blob.
+constexpr std::uint64_t header_and_index_bytes(std::uint64_t count) {
+  return sizeof(kMagic) + sizeof(kVersion) + 2 * sizeof(std::uint64_t) +
+         count * 2 * sizeof(std::uint64_t);
+}
 }  // namespace
 
 std::string CffWriter::subfile_path(const std::string& prefix,
@@ -20,28 +26,33 @@ std::string CffWriter::subfile_path(const std::string& prefix,
 ByteBuffer CffWriter::build_subfile(const datagen::SyntheticDataset& dataset,
                                     std::uint64_t first, std::uint64_t last) {
   const std::uint64_t count = last - first;
-  // Serialize the range first to learn blob sizes.
-  std::vector<ByteBuffer> blobs;
-  blobs.reserve(count);
+  // Generate the range first to learn the exact file size, then serialize
+  // each sample straight into the file.
+  std::vector<graph::GraphSample> samples;
+  samples.reserve(count);
   for (std::uint64_t i = first; i < last; ++i) {
-    blobs.push_back(dataset.make(i).to_bytes());
+    samples.push_back(dataset.make(i));
   }
+  const std::uint64_t header = header_and_index_bytes(count);
+  std::uint64_t size = header;
+  for (const auto& s : samples) size += s.serialized_size();
 
   ByteBuffer file;
+  file.reserve(size);
   BinaryWriter w(file);
   w.write(kMagic);
   w.write(kVersion);
   w.write(count);
   w.write(first);
-  std::uint64_t offset = file.size() + count * 2 * sizeof(std::uint64_t);
-  for (const auto& blob : blobs) {
+  std::uint64_t offset = header;
+  for (const auto& s : samples) {
+    const std::uint64_t length = s.serialized_size();
     w.write<std::uint64_t>(offset);
-    w.write<std::uint64_t>(blob.size());
-    offset += blob.size();
+    w.write<std::uint64_t>(length);
+    offset += length;
   }
-  for (const auto& blob : blobs) {
-    w.write_bytes(ByteSpan(blob));
-  }
+  for (const auto& s : samples) s.serialize(file);
+  DDS_CHECK(file.size() == size);
   return file;
 }
 
@@ -57,13 +68,12 @@ void CffWriter::stage(fs::ParallelFileSystem& fs, const std::string& prefix,
   for (std::uint32_t sf = 0; sf < nsubfiles; ++sf) {
     const std::uint64_t first = n * sf / nsubfiles;
     const std::uint64_t last = n * (sf + 1) / nsubfiles;  // exclusive
-    const ByteBuffer file = build_subfile(dataset, first, last);
-    const std::uint64_t header_and_index =
-        sizeof(std::uint32_t) + sizeof(std::uint16_t) +
-        2 * sizeof(std::uint64_t) + (last - first) * 2 * sizeof(std::uint64_t);
+    ByteBuffer file = build_subfile(dataset, first, last);
     const std::uint64_t nominal_size = std::max<std::uint64_t>(
-        nominal_per_sample * (last - first) + header_and_index, file.size());
-    fs.write_file(subfile_path(prefix, sf), ByteSpan(file), nominal_size);
+        nominal_per_sample * (last - first) +
+            header_and_index_bytes(last - first),
+        file.size());
+    fs.write_file(subfile_path(prefix, sf), std::move(file), nominal_size);
   }
 }
 
@@ -78,13 +88,13 @@ void CffWriter::stage_parallel(simmpi::Comm& comm, fs::FsClient& client,
   const std::uint64_t first = n * rank / nranks;
   const std::uint64_t last = n * (rank + 1) / nranks;
 
-  const ByteBuffer file = build_subfile(dataset, first, last);
+  ByteBuffer file = build_subfile(dataset, first, last);
   const std::uint64_t nominal_size = std::max<std::uint64_t>(
       dataset.spec().nominal_cff_sample_bytes() * (last - first) +
           (last - first) * 2 * sizeof(std::uint64_t),
       file.size());
   fs.write_file(subfile_path(prefix, static_cast<std::uint32_t>(rank)),
-                ByteSpan(file), nominal_size);
+                std::move(file), nominal_size);
   // Charge the write: nominal bytes through the FS write path.
   client.clock().advance(static_cast<double>(nominal_size) /
                          fs.params().write_bandwidth_Bps);
@@ -103,7 +113,10 @@ CffReader::CffReader(fs::ParallelFileSystem& fs, std::string prefix,
     throw IoError("CffReader: no container subfiles under " + prefix_);
   }
   for (const auto& path : paths) {
-    const ByteBuffer raw = fs.read_file_raw(path);
+    Subfile sf;
+    sf.path = path;
+    sf.ref = fs.make_ref(path);
+    const ByteBuffer& raw = *sf.ref.payload;
     BinaryReader r{ByteSpan(raw)};
     const auto magic = r.read<std::uint32_t>();
     if (magic != kMagic) {
@@ -113,9 +126,6 @@ CffReader::CffReader(fs::ParallelFileSystem& fs, std::string prefix,
     if (version != kVersion) {
       throw DataError("CffReader: unsupported version in " + path);
     }
-    Subfile sf;
-    sf.path = path;
-    sf.ref = fs.make_ref(path);
     const auto count = r.read<std::uint64_t>();
     sf.first_index = r.read<std::uint64_t>();
     sf.offsets.reserve(count);
@@ -127,7 +137,7 @@ CffReader::CffReader(fs::ParallelFileSystem& fs, std::string prefix,
     sf.index_region_bytes = r.position();
     // Validate that blob ranges lie within the file.
     for (std::uint64_t i = 0; i < count; ++i) {
-      if (sf.offsets[i] + sf.lengths[i] > raw.size()) {
+      if (!range_within(sf.offsets[i], sf.lengths[i], raw.size())) {
         throw DataError("CffReader: corrupt index in " + path);
       }
     }

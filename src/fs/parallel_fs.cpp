@@ -46,11 +46,16 @@ ParallelFileSystem::ParallelFileSystem(model::FsParams params, int nnodes)
 
 void ParallelFileSystem::write_file(const std::string& path, ByteSpan data,
                                     std::uint64_t nominal_size) {
+  write_file(path, ByteBuffer(data.begin(), data.end()), nominal_size);
+}
+
+void ParallelFileSystem::write_file(const std::string& path, ByteBuffer&& data,
+                                    std::uint64_t nominal_size) {
   const std::unique_lock lock(m_);
   auto& f = files_[path];
   if (f.id == 0) f.id = next_id_++;
-  f.data.assign(data.begin(), data.end());
   f.nominal_size = nominal_size == 0 ? data.size() : nominal_size;
+  f.data = std::move(data);
   DDS_CHECK_MSG(f.nominal_size >= f.data.size(),
                 "nominal size must be >= actual payload");
 }
@@ -192,7 +197,7 @@ FileRef FsClient::open(const std::string& path) {
 
 void FsClient::pread(const FileRef& file, MutableByteSpan dst,
                      std::uint64_t offset, bool sequential, bool cacheable) {
-  if (offset + dst.size() > file.actual_size) {
+  if (!range_within(offset, dst.size(), file.actual_size)) {
     throw IoError("pread past end of file (offset " + std::to_string(offset) +
                   " + " + std::to_string(dst.size()) + " > " +
                   std::to_string(file.actual_size) + ")");

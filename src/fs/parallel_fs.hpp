@@ -71,6 +71,9 @@ class ParallelFileSystem {
   /// payload size; pass the paper-scale size for scaled-down datasets.
   void write_file(const std::string& path, ByteSpan data,
                   std::uint64_t nominal_size = 0);
+  /// As above, taking ownership of `data` instead of copying it.
+  void write_file(const std::string& path, ByteBuffer&& data,
+                  std::uint64_t nominal_size = 0);
 
   bool exists(const std::string& path) const;
   std::uint64_t file_size(const std::string& path) const;

@@ -4,34 +4,42 @@
 
 namespace dds::graph {
 
-GraphBatch GraphBatch::collate(std::span<const GraphSample> samples) {
+BatchShape shape_of(std::span<const GraphSample> samples) {
   if (samples.empty()) {
     throw DataError("GraphBatch::collate: empty batch");
   }
-  GraphBatch b;
-  b.num_graphs = static_cast<std::uint32_t>(samples.size());
-  b.node_feature_dim = samples.front().node_feature_dim;
-  b.target_dim = samples.front().target_dim();
-
+  const std::uint32_t feature_dim = samples.front().node_feature_dim;
+  const std::uint32_t target_dim = samples.front().target_dim();
   std::size_t total_nodes = 0;
   std::size_t total_edges = 0;
   for (const auto& s : samples) {
-    if (s.node_feature_dim != b.node_feature_dim) {
+    if (s.node_feature_dim != feature_dim) {
       throw DataError("collate: node feature dim mismatch in sample " +
                       std::to_string(s.id));
     }
-    if (s.target_dim() != b.target_dim) {
+    if (s.target_dim() != target_dim) {
       throw DataError("collate: target dim mismatch in sample " +
                       std::to_string(s.id));
     }
     total_nodes += s.num_nodes;
     total_edges += s.num_edges();
   }
-  b.num_nodes = static_cast<std::uint32_t>(total_nodes);
-  b.node_features.reserve(total_nodes * b.node_feature_dim);
-  b.edge_src.reserve(total_edges);
-  b.edge_dst.reserve(total_edges);
-  b.node_graph.reserve(total_nodes);
+  return BatchShape{static_cast<std::uint32_t>(samples.size()),
+                    static_cast<std::uint32_t>(total_nodes), total_edges};
+}
+
+GraphBatch GraphBatch::collate(std::span<const GraphSample> samples) {
+  const BatchShape shape = shape_of(samples);
+  GraphBatch b;
+  b.num_graphs = shape.num_graphs;
+  b.num_nodes = shape.num_nodes;
+  b.node_feature_dim = samples.front().node_feature_dim;
+  b.target_dim = samples.front().target_dim();
+
+  b.node_features.reserve(std::size_t{b.num_nodes} * b.node_feature_dim);
+  b.edge_src.reserve(shape.num_edges);
+  b.edge_dst.reserve(shape.num_edges);
+  b.node_graph.reserve(b.num_nodes);
   b.graph_offset.reserve(samples.size() + 1);
   b.y.reserve(samples.size() * b.target_dim);
 

@@ -13,6 +13,18 @@
 
 namespace dds::graph {
 
+/// A batch's size without its bytes: what the simulated step's cost model
+/// reads of a batch.
+struct BatchShape {
+  std::uint32_t num_graphs = 0;
+  std::uint32_t num_nodes = 0;
+  std::size_t num_edges = 0;
+};
+
+/// The shape collate() would produce for `samples`, with collate's checks:
+/// a non-empty batch whose samples agree on feature and target dims.
+BatchShape shape_of(std::span<const GraphSample> samples);
+
 struct GraphBatch {
   std::uint32_t num_graphs = 0;
   std::uint32_t num_nodes = 0;

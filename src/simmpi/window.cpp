@@ -67,7 +67,7 @@ void Window::unlock(int target) {
 void Window::check_bounds(int target, std::size_t offset,
                           std::size_t len) const {
   const auto& region = shared_->regions.at(static_cast<std::size_t>(target));
-  if (offset + len > region.size()) {
+  if (!range_within(offset, len, region.size())) {
     throw DataError("Window access out of bounds: offset " +
                     std::to_string(offset) + " + len " + std::to_string(len) +
                     " > region " + std::to_string(region.size()) +

@@ -1,10 +1,13 @@
 // DataLoader: the torch.utils.data.DataLoader-like facade (§3.2).
 //
-// Combines a Sampler with a DataBackend and yields collated GraphBatches.
+// Combines a Sampler with a DataBackend and yields each batch's shape.
 // Each batch is one DataBackend::load_batch call, so DDStoreConfig's
 // batch_fetch alone picks per-sample or coalesced reads.  The backend that
 // reads a sample records its loading latency (the paper's Fig. 6/12) in
-// its `sample_load_s` recorder.
+// its `sample_load_s` recorder.  A simulated step models the GPU from the
+// batch's shape alone, so the loader checks the samples as collate would
+// and never builds the collated arrays; RealTrainer, which trains on the
+// bytes, collates its own batches.
 #pragma once
 
 #include <optional>
@@ -33,8 +36,8 @@ class DataLoader {
   /// Whether every batch of the epoch has been handed out.
   bool done() const { return step_ >= sampler_->steps_per_epoch(); }
 
-  /// Loads and collates the next batch; nullopt at epoch end.
-  std::optional<graph::GraphBatch> next() {
+  /// Loads the next batch and returns its shape; nullopt at epoch end.
+  std::optional<graph::BatchShape> next() {
     if (done()) return std::nullopt;
     if (tracer_ != nullptr) {
       tracer_->instant(tracing::Category::Train, "sample", clock_->now());
@@ -45,7 +48,7 @@ class DataLoader {
                          "load_batch");
       return backend_->load_batch(ids);
     }();
-    return graph::GraphBatch::collate(samples);
+    return graph::shape_of(samples);
   }
 
   /// Nominal payload of one batch (local batch x nominal sample bytes).

@@ -59,7 +59,7 @@ void StepPipeline::step() {
 
   // ---- CPU: collate ----
   const model::BatchShape shape{batch->num_graphs, batch->num_nodes,
-                                batch->num_edges(), output_dim_};
+                                batch->num_edges, output_dim_};
   const double t_batch =
       compute_.batching_time(shape, loader_.nominal_batch_bytes());
   clock.advance(t_batch);

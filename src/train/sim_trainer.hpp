@@ -1,8 +1,9 @@
 // Simulated DDP training loop (the measurement harness for the paper's
 // throughput, breakdown, and scaling figures).
 //
-// Per step, following Fig. 1 of the paper: the CPU loads and collates the
-// batch (real sample movement, virtual time); GPU forward/backward and the
+// Per step, following Fig. 1 of the paper: the CPU loads the batch (real
+// sample movement, virtual time) and is charged for collating it from its
+// shape (the collated arrays are never built); GPU forward/backward and the
 // optimizer are charged from the ComputeModel; gradients all-reduce across
 // ranks (ring model).  CPU data preparation for step s+1 overlaps the GPU's
 // step s up to a bounded prefetch depth, matching PyTorch's DataLoader
@@ -81,11 +82,12 @@ struct EpochReport {
 
 /// One rank's simulated DDP step loop.  Each step: the CPU waits until
 /// the GPU has finished batch s - prefetch_depth, loads batch s with one
-/// DataBackend::load_batch call and collates it; the GPU starts
-/// forward/backward once it is free and the batch is ready; the gradient
-/// all-reduce starts when the slowest rank's GPU is done; the optimizer
-/// follows.  The GPU keeps its own timeline, so the CPU's work on batch s
-/// overlaps the GPU's work on up to prefetch_depth - 1 earlier batches.
+/// DataBackend::load_batch call and is charged for collating it; the GPU
+/// starts forward/backward once it is free and the batch is ready; the
+/// gradient all-reduce starts when the slowest rank's GPU is done; the
+/// optimizer follows.  The GPU keeps its own timeline, so the CPU's work
+/// on batch s overlaps the GPU's work on up to prefetch_depth - 1 earlier
+/// batches.
 class StepPipeline {
  public:
   /// A depth no epoch reaches: the CPU never waits for the GPU.

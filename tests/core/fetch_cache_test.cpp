@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
+#include <list>
+#include <unordered_map>
 
+#include "common/rng.hpp"
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
@@ -40,7 +45,7 @@ TEST(SampleCacheTest, LookupPromotesAndEvictionIsLeastRecentlyUsed) {
   cache.insert(1, make_bytes(1, 0xa1));
   cache.insert(2, make_bytes(1, 0xa2));
   cache.insert(3, make_bytes(1, 0xa3));
-  ASSERT_NE(cache.lookup(1), nullptr);  // promote 1 over 2 and 3
+  ASSERT_TRUE(cache.lookup(1).has_value());  // promote 1 over 2 and 3
   EXPECT_EQ(cache.insert(4, make_bytes(1, 0xa4)), 1u);
   EXPECT_FALSE(cache.contains(2));  // 2 was least recently used
   EXPECT_EQ(cache.ids_mru_to_lru(), (std::vector<std::uint64_t>{4, 1, 3}));
@@ -71,9 +76,9 @@ TEST(SampleCacheTest, ReinsertRefreshesBytesAndRecency) {
   cache.insert(1, make_bytes(2, 0xd1));
   cache.insert(2, make_bytes(2, 0xd2));
   cache.insert(1, make_bytes(3, 0xdd));  // refresh: new bytes, back to MRU
-  const ByteBuffer* hit = cache.lookup(1);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, make_bytes(3, 0xdd));
+  const auto hit = cache.lookup(1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(ByteBuffer(hit->begin(), hit->end()), make_bytes(3, 0xdd));
   EXPECT_EQ(cache.size_bytes(), 5u);
   EXPECT_EQ(cache.ids_mru_to_lru(), (std::vector<std::uint64_t>{1, 2}));
 }
@@ -86,6 +91,122 @@ TEST(SampleCacheTest, InsertReportsHowManyEntriesWereEvicted) {
   EXPECT_EQ(cache.insert(5, make_bytes(3, 0xe5)), 3u);
   EXPECT_EQ(cache.ids_mru_to_lru(), (std::vector<std::uint64_t>{5, 4}));
   EXPECT_EQ(cache.size_bytes(), 4u);
+}
+
+/// The list-plus-map LRU that SampleCache's slab replaced, kept as the
+/// reference the slab must match operation for operation.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(std::uint64_t capacity_bytes)
+      : capacity_(capacity_bytes) {}
+
+  bool contains(std::uint64_t id) const {
+    return index_.find(id) != index_.end();
+  }
+
+  const ByteBuffer* lookup(std::uint64_t id) {
+    const auto it = index_.find(id);
+    if (it == index_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return &lru_.front().bytes;
+  }
+
+  std::size_t insert(std::uint64_t id, ByteSpan bytes) {
+    if (bytes.size() > capacity_) return 0;
+    const auto it = index_.find(id);
+    if (it != index_.end()) {
+      size_ -= it->second->bytes.size();
+      it->second->bytes.assign(bytes.begin(), bytes.end());
+      size_ += bytes.size();
+      lru_.splice(lru_.begin(), lru_, it->second);
+    } else {
+      lru_.push_front(Entry{id, ByteBuffer(bytes.begin(), bytes.end())});
+      index_.emplace(id, lru_.begin());
+      size_ += bytes.size();
+    }
+    std::size_t evicted = 0;
+    while (size_ > capacity_) {
+      const Entry& victim = lru_.back();
+      size_ -= victim.bytes.size();
+      index_.erase(victim.id);
+      lru_.pop_back();
+      ++evicted;
+    }
+    return evicted;
+  }
+
+  std::uint64_t size_bytes() const { return size_; }
+  std::size_t entries() const { return lru_.size(); }
+
+  std::vector<std::uint64_t> ids_mru_to_lru() const {
+    std::vector<std::uint64_t> out;
+    for (const Entry& e : lru_) out.push_back(e.id);
+    return out;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t id;
+    ByteBuffer bytes;
+  };
+
+  std::uint64_t capacity_;
+  std::uint64_t size_ = 0;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+};
+
+TEST(SampleCacheTest, MatchesTheListAndMapReferenceOperationForOperation) {
+  constexpr std::uint64_t kKiB = 1024;
+  // Disabled, one ~3 KB payload, and perfbench's per-rank 2 MiB.
+  for (const std::uint64_t capacity : {std::uint64_t{0}, 3 * kKiB,
+                                       2 * kKiB * kKiB}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    SampleCache cache(capacity);
+    ReferenceCache ref(capacity);
+    Rng rng(20261019 + capacity);
+    std::vector<std::uint64_t> resident;
+    for (int op = 0; op < 20'000; ++op) {
+      // A resident id (so inserts re-insert), a dense shard-like id, or an
+      // arbitrary 64-bit id.
+      const double pick = rng.uniform();
+      const std::uint64_t id =
+          pick < 0.3 && !resident.empty()
+              ? resident[rng.uniform_u64(resident.size())]
+              : (pick < 0.8 ? rng.uniform_u64(3000) : rng.next());
+      const double dice = rng.uniform();
+      if (dice < 0.25) {
+        ASSERT_EQ(cache.contains(id), ref.contains(id)) << "op " << op;
+      } else if (dice < 0.6) {
+        const auto got = cache.lookup(id);
+        const ByteBuffer* want = ref.lookup(id);
+        ASSERT_EQ(got.has_value(), want != nullptr) << "op " << op;
+        if (want != nullptr) {
+          ASSERT_TRUE(std::equal(got->begin(), got->end(), want->begin(),
+                                 want->end()))
+              << "op " << op;
+        }
+      } else {
+        // Payloads of 1-5 KB, and now and then one larger than the cache.
+        ByteBuffer payload(kKiB + rng.uniform_u64(4 * kKiB + 1));
+        if (rng.uniform() < 0.02) {
+          payload.assign(capacity + 1 + rng.uniform_u64(64), std::byte{0x5a});
+        } else {
+          for (std::size_t i = 0; i < payload.size(); i += 8) {
+            const std::uint64_t word = rng.next();
+            std::memcpy(payload.data() + i, &word,
+                        std::min<std::size_t>(8, payload.size() - i));
+          }
+        }
+        ASSERT_EQ(cache.insert(id, payload), ref.insert(id, payload))
+            << "op " << op;
+      }
+      ASSERT_EQ(cache.size_bytes(), ref.size_bytes()) << "op " << op;
+      ASSERT_EQ(cache.entries(), ref.entries()) << "op " << op;
+      resident = ref.ids_mru_to_lru();
+      ASSERT_EQ(cache.ids_mru_to_lru(), resident) << "op " << op;
+    }
+  }
 }
 
 // ---- DDStore integration -------------------------------------------------
@@ -313,6 +434,38 @@ TEST_F(FetchCacheTest, PlannedBatchesServeResidentIdsWithoutTransfers) {
     EXPECT_EQ(st.lock_epochs, 0u);
     EXPECT_EQ(st.rma_transfers, 0u);
     EXPECT_EQ(st.batch_dup_hits, 2u);
+  });
+}
+
+TEST_F(FetchCacheTest, RepeatOfAHitEvictedLaterInTheBatchDecodesIntact) {
+  // The cache holds one payload: in {3, 5, 3} the first 3 hits, admitting
+  // 5 evicts it, and the repeated 3 must still decode the hit's bytes.
+  const std::uint64_t a = 3, b = 5;
+  const std::uint64_t capacity = std::max(ds_->make(a).serialized_size(),
+                                          ds_->make(b).serialized_size());
+  simmpi::Runtime rt(2, machine_);
+  const auto reader = cff_reader();
+  rt.run([&](simmpi::Comm& c) {
+    auto client = client_for(c);
+    for (const BatchFetchMode mode :
+         {BatchFetchMode::PerSample, BatchFetchMode::Coalesced}) {
+      DDStoreConfig cfg;
+      cfg.batch_fetch = mode;
+      cfg.cache_capacity_bytes = capacity;
+      DDStore store(c, reader, client, cfg);
+      (void)store.get_bytes(a);
+      store.reset_stats();
+      const std::vector<std::uint64_t> ids = {a, b, a};
+      const auto out = store.get_batch(ids);
+      ASSERT_EQ(out.size(), ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(out[i], ds_->make(ids[i])) << "position " << i;
+      }
+      EXPECT_EQ(store.stats().cache_hits, 1u);
+      EXPECT_EQ(store.stats().cache_evictions, 1u);
+      EXPECT_EQ(store.stats().batch_dup_hits, 1u);
+      EXPECT_FALSE(store.sample_cache().contains(a));
+    }
   });
 }
 

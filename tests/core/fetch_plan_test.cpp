@@ -48,9 +48,9 @@ void check_plan(const DataRegistry& registry,
   std::set<std::uint64_t> unique_ids(ids.begin(), ids.end());
   std::uint64_t planned_samples = 0;
   for (const auto& tp : plan.targets) {
-    for (const auto& s : tp.samples) {
+    for (const auto& s : plan.samples_of(tp)) {
       ++planned_samples;
-      for (const std::uint32_t pos : s.positions) {
+      for (const std::uint32_t pos : plan.positions_of(s)) {
         ASSERT_LT(pos, ids.size());
         EXPECT_EQ(ids[pos], s.id);
         EXPECT_TRUE(filled.insert(pos).second)
@@ -69,17 +69,18 @@ void check_plan(const DataRegistry& registry,
   std::set<int> seen_owners;
   for (const auto& tp : plan.targets) {
     EXPECT_TRUE(seen_owners.insert(tp.owner).second);
-    ASSERT_FALSE(tp.ranges.empty());
-    ASSERT_FALSE(tp.samples.empty());
+    const auto ranges = plan.ranges_of(tp);
+    ASSERT_FALSE(ranges.empty());
+    ASSERT_FALSE(plan.samples_of(tp).empty());
 
     std::uint64_t range_bytes = 0;
-    for (std::size_t i = 0; i < tp.ranges.size(); ++i) {
-      EXPECT_GT(tp.ranges[i].length, 0u);
-      range_bytes += tp.ranges[i].length;
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      EXPECT_GT(ranges[i].length, 0u);
+      range_bytes += ranges[i].length;
       if (i > 0) {
         // Disjoint AND non-adjacent: adjacent ranges must have merged.
-        EXPECT_GT(tp.ranges[i].offset,
-                  tp.ranges[i - 1].offset + tp.ranges[i - 1].length);
+        EXPECT_GT(ranges[i].offset,
+                  ranges[i - 1].offset + ranges[i - 1].length);
       }
     }
     EXPECT_EQ(tp.bytes, range_bytes);
@@ -88,7 +89,7 @@ void check_plan(const DataRegistry& registry,
     // samples routed to this target, interval by interval.
     std::map<std::uint64_t, std::uint64_t> extents;  // offset -> end
     std::uint64_t sample_bytes = 0;
-    for (const auto& s : tp.samples) {
+    for (const auto& s : plan.samples_of(tp)) {
       const auto& entry = registry.lookup(s.id);
       EXPECT_EQ(static_cast<int>(entry.owner), tp.owner);
       EXPECT_EQ(entry.length, s.length);
@@ -96,7 +97,7 @@ void check_plan(const DataRegistry& registry,
       sample_bytes += entry.length;
     }
     EXPECT_EQ(sample_bytes, range_bytes);  // no gaps, no overlaps possible
-    for (const auto& r : tp.ranges) {
+    for (const auto& r : plan.ranges_of(tp)) {
       // Walk the merged extents across this range; they must chain
       // seamlessly from its start to its end.
       std::uint64_t cursor = r.offset;
@@ -113,11 +114,11 @@ void check_plan(const DataRegistry& registry,
     // offset is its range's staging start plus its offset within the range.
     std::map<std::uint64_t, std::uint64_t> staging_start;  // chunk -> staging
     std::uint64_t acc = 0;
-    for (const auto& r : tp.ranges) {
+    for (const auto& r : plan.ranges_of(tp)) {
       staging_start[r.offset] = acc;
       acc += r.length;
     }
-    for (const auto& s : tp.samples) {
+    for (const auto& s : plan.samples_of(tp)) {
       const auto& entry = registry.lookup(s.id);
       auto it = staging_start.upper_bound(entry.offset);
       ASSERT_NE(it, staging_start.begin());
@@ -145,8 +146,8 @@ TEST(FetchPlan, BlockPlacedFullSweepCoalescesToOneRangePerTarget) {
       plan_batch_fetch(*registry, std::span<const std::uint64_t>(ids));
   ASSERT_EQ(plan.targets.size(), 4u);
   for (const auto& tp : plan.targets) {
-    EXPECT_EQ(tp.ranges.size(), 1u) << "owner " << tp.owner;
-    EXPECT_EQ(tp.samples.size(), 16u);
+    EXPECT_EQ(tp.num_ranges, 1u) << "owner " << tp.owner;
+    EXPECT_EQ(tp.num_samples, 16u);
   }
   check_plan(*registry, ids);
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "formats/pff.hpp"
@@ -120,6 +122,22 @@ TEST_F(FormatsTest, CffTruncatedContainerRejected) {
   ByteBuffer raw = fs_.read_file_raw(path);
   raw.resize(raw.size() / 2);
   fs_.write_file(path, ByteSpan(raw));
+  EXPECT_THROW(CffReader(fs_, "cff/aisd", 1000), DataError);
+}
+
+TEST_F(FormatsTest, CffIndexEntryThatWrapsIsRejected) {
+  // Entry 0 claims 16 bytes at offset 2^64 - 8: offset + length wraps to
+  // 8, inside the file, but the blob would start 8 bytes before it.
+  CffWriter::stage(fs_, "cff/aisd", *ds_, 1);
+  const auto path = CffWriter::subfile_path("cff/aisd", 0);
+  ByteBuffer raw = fs_.read_file_raw(path);
+  // u32 magic | u16 version | u64 count | u64 first, then entry 0.
+  constexpr std::size_t kEntry0 = 4 + 2 + 8 + 8;
+  const std::uint64_t offset = ~std::uint64_t{0} - 7;
+  const std::uint64_t length = 16;
+  std::memcpy(raw.data() + kEntry0, &offset, sizeof(offset));
+  std::memcpy(raw.data() + kEntry0 + 8, &length, sizeof(length));
+  fs_.write_file(path, ByteSpan(raw), fs_.nominal_file_size(path));
   EXPECT_THROW(CffReader(fs_, "cff/aisd", 1000), DataError);
 }
 

@@ -75,6 +75,19 @@ TEST_F(FsTest, PreadReturnsCorrectSlice) {
   EXPECT_THROW(client.pread(ref, MutableByteSpan(dst), 4950), IoError);
 }
 
+TEST_F(FsTest, PreadRangeThatWrapsThrows) {
+  // 16 bytes at offset 2^64 - 8: offset + length wraps to 8, inside the
+  // 64-byte file, but the copy would start 8 bytes before the payload.
+  const auto data = make_bytes(64, 5);
+  fs_.write_file("f", ByteSpan(data));
+  FsClient client(fs_, 0, clock_, rng_);
+  const auto ref = client.open("f");
+  ByteBuffer dst(16);
+  EXPECT_THROW(
+      client.pread(ref, MutableByteSpan(dst), ~std::uint64_t{0} - 7),
+      IoError);
+}
+
 TEST_F(FsTest, OpenChargesMdsCost) {
   fs_.write_file("f", ByteSpan(make_bytes(10)));
   FsClient client(fs_, 0, clock_, rng_);

@@ -182,6 +182,21 @@ TEST(Window, OutOfBoundsGetThrows) {
                DataError);
 }
 
+TEST(Window, GetRangeThatWrapsThrows) {
+  // offset + len wraps to 8, inside the 64-byte region, but the copy would
+  // start 8 bytes before it.
+  Runtime rt(2, test_machine());
+  EXPECT_THROW(rt.run([](Comm& c) {
+                 ByteBuffer local(64);
+                 Window win(c, MutableByteSpan(local));
+                 ByteBuffer dst(16);
+                 win.lock(0);
+                 win.get(MutableByteSpan(dst), 0, ~std::size_t{0} - 7);
+                 win.unlock(0);
+               }),
+               DataError);
+}
+
 TEST(Window, GetWithoutLockThrows) {
   Runtime rt(2, test_machine());
   EXPECT_THROW(rt.run([](Comm& c) {
