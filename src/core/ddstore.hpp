@@ -111,6 +111,12 @@ class DDStore {
   /// the in-flight queue depth for tests and diagnostics.
   const fetch::StagingStage* staging() const { return engine_->staging(); }
 
+  /// Comm-rank targets this rank's fetches touched since their last reset:
+  /// the only ones with resilience state (the rest read as fresh).
+  std::size_t resilience_targets() const {
+    return engine_->resilience_targets();
+  }
+
   simmpi::Comm& comm() { return comm_; }
   simmpi::Comm& group() { return group_; }
   const DDStoreConfig& config() const { return config_; }

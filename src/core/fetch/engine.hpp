@@ -73,6 +73,9 @@ class FetchEngine {
     return staging_.has_value() ? &*staging_ : nullptr;
   }
 
+  /// Targets the Resilience stage holds state for (tests).
+  std::size_t resilience_targets() const { return resilience_.targets(); }
+
   /// Resilience-stage breaker state for one comm-rank target (the elastic
   /// driver's fault-suspect signal and its post-rebuild reset).
   bool breaker_open(int target) const {

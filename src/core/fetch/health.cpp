@@ -5,44 +5,35 @@
 
 namespace dds::core::fetch {
 
-void HealthTracker::observe(std::size_t target, double service_s) {
-  Entry& e = entries_.at(target);
-  if (e.count == 0) {
-    e.ewma = service_s;
-    e.ewdev = 0.0;
+void TargetHealth::observe(double service_s) {
+  if (count_ == 0) {
+    ewma_ = service_s;
+    ewdev_ = 0.0;
   } else {
-    const double err = service_s - e.ewma;
-    // Asymmetric smoothing: degradations accumulate at alpha, recoveries
-    // at the faster alpha_down (see HealthParams).
-    e.ewma += (err < 0.0 ? params_.alpha_down : params_.alpha) * err;
-    e.ewdev += params_.alpha * (std::abs(err) - e.ewdev);
+    const double err = service_s - ewma_;
+    // Asymmetric smoothing: degradations accumulate at kHealthAlpha,
+    // recoveries at the faster kHealthAlphaDown.
+    ewma_ += (err < 0.0 ? kHealthAlphaDown : kHealthAlpha) * err;
+    ewdev_ += kHealthAlpha * (std::abs(err) - ewdev_);
   }
-  ++e.count;
-  if (calibrated(e) && e.ewma > 0.0) e.best = std::min(e.best, e.ewma);
-  e.penalty *= params_.penalty_decay;
+  ++count_;
+  if (calibrated() && ewma_ > 0.0) best_ = std::min(best_, ewma_);
+  penalty_ *= kPenaltyDecay;
 }
 
-void HealthTracker::penalize(std::size_t target) {
-  entries_.at(target).penalty += params_.penalty_step;
-}
-
-double HealthTracker::score(std::size_t target) const {
-  const Entry& e = entries_.at(target);
+double TargetHealth::score() const {
   double base = 1.0;
-  if (calibrated(e) && e.ewma > 0.0 && std::isfinite(e.best)) {
-    base = std::clamp(e.best / e.ewma, 0.0, 1.0);
+  if (calibrated() && ewma_ > 0.0 && std::isfinite(best_)) {
+    base = std::clamp(best_ / ewma_, 0.0, 1.0);
   }
-  return base / (1.0 + e.penalty);
+  return base / (1.0 + penalty_);
 }
 
-double HealthTracker::deadline(std::size_t target) const {
-  const Entry& e = entries_.at(target);
-  if (!calibrated(e)) return std::numeric_limits<double>::infinity();
-  double d = e.ewma + params_.deadline_sigma * e.ewdev;
-  if (std::isfinite(e.best)) {
-    d = std::min(d, params_.deadline_cap_ratio * e.best);
-  }
-  return std::max(params_.deadline_floor_s, d);
+double TargetHealth::deadline() const {
+  if (!calibrated()) return std::numeric_limits<double>::infinity();
+  double d = ewma_ + kDeadlineSigma * ewdev_;
+  if (std::isfinite(best_)) d = std::min(d, kDeadlineCapRatio * best_);
+  return std::max(kDeadlineFloorS, d);
 }
 
 }  // namespace dds::core::fetch

@@ -1,6 +1,7 @@
 #include "core/fetch/resilience.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -25,12 +26,6 @@ constexpr int kMaxAttempts = 3;
 constexpr double kBackoffBaseS = 250e-6;
 constexpr double kBackoffMultiplier = 2.0;
 constexpr double kBackoffJitter = 0.5;
-/// Consecutive failures on one target that trip its circuit breaker, and
-/// the fetches an open breaker then skips the target for.  Count-based,
-/// not time-based, so breaker behaviour is independent of the queueing
-/// model's schedule-sensitive completion times.
-constexpr int kBreakerThreshold = 3;
-constexpr int kBreakerCooldownFetches = 64;
 
 /// Seed of the stage-private backoff jitter RNG (see the member comment);
 /// streamed by world rank so every rank's retry schedule is independent
@@ -38,7 +33,7 @@ constexpr int kBreakerCooldownFetches = 64;
 constexpr std::uint64_t kBackoffSeed = 0xddb0ff5eedULL;
 
 /// Every Nth demotion of a quarantined primary probes it instead (see
-/// TargetState::steer_count).  Probes are hedged under the capped
+/// Target::steer_count).  Probes are hedged under the capped
 /// deadline, so a still-degraded rank costs a bounded detour while a
 /// recovered one re-earns its score within a few probes.
 constexpr std::uint32_t kQuarantineProbeEvery = 8;
@@ -49,13 +44,58 @@ ResilienceStage::ResilienceStage(const FetchContext& ctx,
                                  RmaTransport& transport)
     : ctx_(&ctx),
       transport_(&transport),
-      health_(static_cast<std::size_t>(ctx.comm->size()), HealthParams{}),
       backoff_rng_(Rng(kBackoffSeed).stream(
-          static_cast<std::uint64_t>(ctx.comm->world_rank()))) {
-  targets_.resize(static_cast<std::size_t>(ctx.comm->size()),
-                  TargetState{CircuitBreaker(kBreakerThreshold,
-                                             kBreakerCooldownFetches),
-                              0});
+          static_cast<std::uint64_t>(ctx.comm->world_rank()))) {}
+
+std::size_t ResilienceStage::slot_of(int target) const {
+  const std::size_t mask = table_.size() - 1;
+  // Fibonacci hashing, as in SampleCache::home_of.
+  std::size_t i = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(target) * 0x9E37'79B9'7F4A'7C15ull) >>
+      shift_);
+  while (table_[i].target >= 0 && table_[i].target != target) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void ResilienceStage::make_room(std::size_t inserts) {
+  while ((records_ + inserts) * 4 > table_.size() * 3) {
+    rebuild(std::max<std::size_t>(16, 2 * table_.size()), -1);
+  }
+}
+
+void ResilienceStage::rebuild(std::size_t slots, int drop) {
+  std::vector<Target> old(slots);
+  old.swap(table_);
+  shift_ = 64 - std::countr_zero(slots);
+  records_ = 0;
+  for (const Target& t : old) {
+    if (t.target < 0 || t.target == drop) continue;
+    table_[slot_of(t.target)] = t;
+    ++records_;
+  }
+}
+
+ResilienceStage::Target& ResilienceStage::touch(int target) {
+  Target& t = table_[slot_of(target)];
+  if (t.target == target) return t;
+  DDS_CHECK(4 * (records_ + 1) <= 3 * table_.size());
+  t.target = target;
+  ++records_;
+  // Every write follows the candidate_order that refreshed this target, so
+  // a new record starts at the epoch refresh_revival would have stored.
+  if (const auto* inj = ctx_->comm->runtime().fault_injector()) {
+    t.seen_revive_epoch =
+        inj->revive_epoch(ctx_->comm->world_rank_of(target));
+  }
+  return t;
+}
+
+const ResilienceStage::Target* ResilienceStage::find(int target) const {
+  if (table_.empty()) return nullptr;
+  const Target& t = table_[slot_of(target)];
+  return t.target == target ? &t : nullptr;
 }
 
 bool ResilienceStage::payload_intact(const DataRegistry::Entry& entry,
@@ -72,36 +112,26 @@ bool ResilienceStage::payload_intact(const DataRegistry::Entry& entry,
 }
 
 bool ResilienceStage::breaker_open(int target) const {
-  const TargetState& ts = targets_[static_cast<std::size_t>(target)];
-  if (!ts.breaker.open()) return false;
+  const Target* t = find(target);
+  if (t == nullptr || !t->breaker.open()) return false;
   // A rank revived since the breaker last saw it reads as closed — the
-  // stale state is wiped on the next fetch's refresh_revival.
+  // stale record is dropped on the next fetch's refresh_revival.
   const auto* inj = ctx_->comm->runtime().fault_injector();
   return inj == nullptr ||
          inj->revive_epoch(ctx_->comm->world_rank_of(target)) ==
-             ts.seen_revive_epoch;
-}
-
-void ResilienceStage::reset_target(int target) {
-  TargetState& ts = state_of(target);
-  ts.breaker.reset();
-  ts.steer_count = 0;
-  health_.reset(static_cast<std::size_t>(target));
+             t->seen_revive_epoch;
 }
 
 void ResilienceStage::refresh_revival(int target) {
   const auto* inj = ctx_->comm->runtime().fault_injector();
   if (inj == nullptr) return;
-  const std::uint32_t epoch =
-      inj->revive_epoch(ctx_->comm->world_rank_of(target));
-  TargetState& ts = state_of(target);
-  if (epoch != ts.seen_revive_epoch) {
+  const Target* t = find(target);
+  if (t != nullptr &&
+      t->seen_revive_epoch !=
+          inj->revive_epoch(ctx_->comm->world_rank_of(target))) {
     // The rank came back (FaultInjector::revive): make it immediately
     // eligible again — open breaker, quarantine score, stale EWMAs all go.
-    ts.breaker.reset();
-    ts.steer_count = 0;
-    health_.reset(static_cast<std::size_t>(target));
-    ts.seen_revive_epoch = epoch;
+    reset_target(target);
   }
 }
 
@@ -122,11 +152,11 @@ const std::vector<int>& ResilienceStage::candidate_order(int owner) {
     // Steering: try quarantined-but-alive targets last, keeping the
     // rotation order within each class (stable, hence deterministic).
     const int primary = order_.front();
-    std::stable_partition(order_.begin(), order_.end(), [this](int t) {
-      return !health_.quarantined(static_cast<std::size_t>(t));
-    });
+    std::stable_partition(order_.begin(), order_.end(),
+                          [this](int t) { return !quarantined(t); });
+    // A demoted primary is quarantined, so touch finds its record.
     if (order_.front() != primary &&
-        ++state_of(primary).steer_count % kQuarantineProbeEvery == 0) {
+        ++touch(primary).steer_count % kQuarantineProbeEvery == 0) {
       rotation();  // probation probe: keep the quarantined primary first
     }
   }
@@ -137,7 +167,7 @@ int ResilienceStage::pick_backup(const std::vector<int>& candidates,
                                  int target) const {
   for (int c : candidates) {
     if (c == target || breaker_open(c)) continue;
-    if (!health_.quarantined(static_cast<std::size_t>(c))) return c;
+    if (!quarantined(c)) return c;
   }
   for (int c : candidates) {
     if (c != target && !breaker_open(c)) return c;
@@ -145,13 +175,13 @@ int ResilienceStage::pick_backup(const std::vector<int>& candidates,
   return -1;
 }
 
-bool ResilienceStage::record_failure(int target) {
-  health_.penalize(static_cast<std::size_t>(target));
-  if (!state_of(target).breaker.on_failure()) return false;
+bool ResilienceStage::record_failure(Target& rec) {
+  rec.health.penalize();
+  if (!rec.breaker.on_failure()) return false;
   ++ctx_->metrics->breaker_trips;
   if (tracing::EventTracer* tr = ctx_->tracer()) {
     tracing::EventArgs args;
-    args.target = ctx_->comm->world_rank_of(target);
+    args.target = ctx_->comm->world_rank_of(rec.target);
     tr->instant(tracing::Category::Resilience, "breaker_trip",
                 ctx_->clock().now(), args);
   }
@@ -160,15 +190,15 @@ bool ResilienceStage::record_failure(int target) {
 
 ResilienceStage::Attempt ResilienceStage::attempt_once(
     std::uint64_t id, const DataRegistry::Entry& entry, MutableByteSpan dst,
-    int target, int backup) {
+    Target& rec, int backup) {
+  const int target = rec.target;
   auto& clock = ctx_->clock();
   FetchMetrics& m = *ctx_->metrics;
   // `backup` is -1 unless hedging is on (see fetch()).  An infinite
   // deadline — hedging disarmed, the target still calibrating, or no
   // viable backup twin — never fires a backup.
-  const double deadline =
-      backup >= 0 ? health_.deadline(static_cast<std::size_t>(target))
-                  : std::numeric_limits<double>::infinity();
+  const double deadline = backup >= 0 ? rec.health.deadline()
+                                      : std::numeric_limits<double>::infinity();
 
   // Each leg is one lock epoch around one get.  Price the primary leg at
   // its issue time.  When it settles the attempt (delivered within the
@@ -184,7 +214,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     clock.advance_to(p.done);
     transport_->unlock(target);
     if (!p.delivered) return Attempt::Failed;
-    health_.observe(static_cast<std::size_t>(target), p.done - t0);
+    rec.health.observe(p.done - t0);
     return Attempt::Primary;
   }
   transport_->unlock(target);
@@ -208,6 +238,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
       ctx_->nominal_sample_bytes, b_start);
   transport_->unlock(backup);
 
+  Target& backup_rec = touch(backup);
   if (p.delivered && b.delivered) {
     // Both legs answered: replicas must be byte-identical twins — count
     // (and keep the primary's bytes) if they disagree, it's a real bug or
@@ -222,16 +253,16 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
       ++m.hedge_wins;
     }
     clock.advance_to(std::min(p.done, b.done));
-    health_.observe(static_cast<std::size_t>(target), p.done - t0);
-    health_.observe(static_cast<std::size_t>(backup), b.done - b_start);
-    state_of(backup).breaker.on_success();
+    rec.health.observe(p.done - t0);
+    backup_rec.health.observe(b.done - b_start);
+    backup_rec.breaker.on_success();
     return Attempt::Primary;
   }
   if (p.delivered) {
     // Primary answered late but the backup failed outright.
     clock.advance_to(p.done);
-    health_.observe(static_cast<std::size_t>(target), p.done - t0);
-    record_failure(backup);
+    rec.health.observe(p.done - t0);
+    record_failure(backup_rec);
     return Attempt::Primary;
   }
   if (b.delivered) {
@@ -239,14 +270,14 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     std::memcpy(dst.data(), hedge_scratch_.data(), entry.length);
     ++m.hedge_wins;
     clock.advance_to(b.done);
-    health_.observe(static_cast<std::size_t>(backup), b.done - b_start);
-    state_of(backup).breaker.on_success();
-    record_failure(target);
+    backup_rec.health.observe(b.done - b_start);
+    backup_rec.breaker.on_success();
+    record_failure(rec);
     return Attempt::Backup;
   }
   // Both legs failed: the origin has waited out both probes.
   clock.advance_to(std::max(p.done, b.done));
-  record_failure(backup);
+  record_failure(backup_rec);
   return Attempt::Failed;  // the caller records the primary leg's failure
 }
 
@@ -270,7 +301,13 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
   }
 
   for (const int target : order) {
-    if (state_of(target).breaker.should_skip()) {
+    // Every attempt writes the target's record (an observation or a
+    // penalty), and only a record's breaker can be open, so taking it here
+    // creates no record for a target the fetch never writes.  Room for the
+    // hedge backup's record too, so `rec` stays put through the attempt.
+    make_room(2);
+    Target& rec = touch(target);
+    if (rec.breaker.should_skip()) {
       // Breaker open: don't hammer a target that just failed repeatedly.
       // The skip that exhausts the cooldown arms the half-open probe.
       continue;
@@ -290,10 +327,10 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
         ctx_->clock().advance(delay);
         ++m.retries;
       }
-      const Attempt got = attempt_once(id, entry, dst, target, backup);
+      const Attempt got = attempt_once(id, entry, dst, rec, backup);
       if (got != Attempt::Failed && payload_intact(entry, ByteSpan(dst))) {
         const int served = got == Attempt::Backup ? backup : target;
-        if (got == Attempt::Primary) state_of(target).breaker.on_success();
+        if (got == Attempt::Primary) rec.breaker.on_success();
         if (served != primary) {
           ++m.failovers;
           if (tracing::EventTracer* tr = ctx_->tracer()) {
@@ -309,7 +346,7 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
       // Failed attempt (a checksum mismatch on a served payload counts
       // against the addressed target too); a breaker trip abandons the
       // target and moves to the next candidate.
-      abandon = record_failure(target);
+      abandon = record_failure(rec);
     }
   }
 

@@ -10,8 +10,8 @@
 //
 // Crash-robustness: per-target retry with jittered backoff, a three-state
 // circuit breaker (see health.hpp), failover across replica groups, and
-// finally the FS fallback.  All four are always on; their constants live
-// in resilience.cpp.
+// finally the FS fallback.  All four are always on; the retry constants
+// live in resilience.cpp, the breaker's in health.hpp.
 //
 // Latency-robustness (gated on DDStoreConfig::hedge):
 //  * candidate steering — quarantined-but-alive targets (health score
@@ -63,31 +63,39 @@ class ResilienceStage {
 
   /// True while `target`'s circuit breaker is open.  A revival of the
   /// target since the breaker last observed it reads as closed — a revived
-  /// rank is immediately eligible again (the stale state is lazily reset
-  /// on the next fetch).
+  /// rank is immediately eligible again (the stale record is dropped on
+  /// the next fetch).
   bool breaker_open(int target) const;
 
   /// Continuous health of one comm-rank target in [0, 1]: 0 while its
-  /// breaker is open, otherwise the HealthTracker score.  The elastic
+  /// breaker is open, otherwise its TargetHealth score.  The elastic
   /// driver aggregates this as its dead-rank suspicion signal.
   double health_score(int target) const {
-    return breaker_open(target)
-               ? 0.0
-               : health_.score(static_cast<std::size_t>(target));
+    if (breaker_open(target)) return 0.0;
+    const Target* t = find(target);
+    return t == nullptr ? 1.0 : t->health.score();
   }
 
   /// Forgets `target`'s failure history — called after the elastic
   /// fault-recovery hook rebuilds a revived rank's chunk, so fetches
   /// resume trying it immediately instead of waiting out the cooldown.
-  void reset_target(int target);
+  void reset_target(int target) {
+    if (find(target) != nullptr) rebuild(table_.size(), target);
+  }
 
-  const HealthTracker& health() const { return health_; }
+  /// Targets whose state this rank's fetch path wrote since their reset.
+  std::size_t targets() const { return records_; }
 
  private:
-  /// Per-target (comm rank) breaker state plus the last revival epoch this
-  /// stage observed for the rank (injector generation counter).
-  struct TargetState {
+  /// One comm-rank target's breaker and health state, plus the last
+  /// revival epoch this stage observed for the rank (injector generation
+  /// counter).  Only touched targets have one: all ranks share a process,
+  /// so a table sized to the communicator would cost N^2.  An absent
+  /// target reads as fresh: closed breaker, score 1, infinite deadline.
+  struct Target {
     CircuitBreaker breaker;
+    int target = -1;  ///< comm rank; -1 marks an empty table slot
+    TargetHealth health;
     std::uint32_t seen_revive_epoch = 0;
     /// Times this target was demoted as a quarantined primary; every
     /// kQuarantineProbeEvery-th demotion becomes a probation probe instead
@@ -101,13 +109,31 @@ class ResilienceStage {
   /// target delivered, or the hedge backup's response won.
   enum class Attempt { Failed, Primary, Backup };
 
-  TargetState& state_of(int target) {
-    return targets_[static_cast<std::size_t>(target)];
+  /// `target`'s record, created on first use at the rank's current revival
+  /// epoch.  A new record needs room (make_room); records move only when
+  /// the table grows or drops one, so references survive touches.
+  Target& touch(int target);
+
+  /// `target`'s record, or nullptr when it reads as fresh.  Never inserts.
+  const Target* find(int target) const;
+
+  /// Table slot holding `target`, or the empty slot that ends its probe
+  /// run.  Requires a non-empty table.
+  std::size_t slot_of(int target) const;
+
+  /// Grows the table until `inserts` more records fit.
+  void make_room(std::size_t inserts);
+
+  /// Rehashes every record except `drop`'s into `slots` fresh slots.
+  void rebuild(std::size_t slots, int drop);
+
+  bool quarantined(int target) const {
+    const Target* t = find(target);
+    return t != nullptr && t->health.quarantined();
   }
 
-  /// Lazily clears breaker + health state for a target whose rank was
-  /// revived since this stage last looked (satellite of the revive fix:
-  /// no collective reset needed for eligibility).
+  /// Lazily drops the record of a target whose rank was revived since this
+  /// stage last looked, so no collective reset is needed for eligibility.
   void refresh_revival(int target);
 
   /// Builds the candidate target order for one fetch (into the reused
@@ -121,21 +147,26 @@ class ResilienceStage {
   /// the first merely non-open one), or -1.
   int pick_backup(const std::vector<int>& candidates, int target) const;
 
-  /// One transfer attempt at `target`, hedged when armed and calibrated.
-  /// On Attempt::Backup the helper has already recorded the backup's
-  /// bookkeeping and the primary's failure penalty/breaker strike.
+  /// One transfer attempt at `rec`'s target, hedged when armed and
+  /// calibrated.  On Attempt::Backup the helper has already recorded the
+  /// backup's bookkeeping and the primary's failure penalty/breaker strike.
   Attempt attempt_once(std::uint64_t id, const DataRegistry::Entry& entry,
-                       MutableByteSpan dst, int target, int backup);
+                       MutableByteSpan dst, Target& rec, int backup);
 
-  /// Records one failed attempt at `target`: health penalty plus breaker
-  /// strike; returns true when the strike tripped the breaker (counted and
-  /// traced here).
-  bool record_failure(int target);
+  /// Records one failed attempt at `rec`'s target: health penalty plus
+  /// breaker strike; returns true when the strike tripped the breaker
+  /// (counted and traced here).
+  bool record_failure(Target& rec);
 
   const FetchContext* ctx_;
   RmaTransport* transport_;
-  std::vector<TargetState> targets_;
-  HealthTracker health_;
+  /// Touched targets' records in an open-addressing table (linear probing,
+  /// size a power of two at most 3/4 full, empty slots hold default
+  /// records).  Flat, not node-based: on a global shuffle most fetches meet
+  /// a new target, and a node map cost scale_1024 ~10% of its host speed.
+  std::vector<Target> table_;
+  std::size_t records_ = 0;
+  int shift_ = 64;  ///< 64 - log2(table_.size())
   /// Backoff jitter draws from a stage-private stream seeded by world
   /// rank, never from the rank's shared Comm RNG: other consumers of that
   /// RNG (brokers, prefetch jitter) must not shift resilient-path virtual

@@ -92,7 +92,7 @@ struct DDStoreConfig {
   /// payloads are verified byte-identical.  Separately, targets whose
   /// health score drops below the quarantine threshold are steered around
   /// (tried last) before any breaker declares them dead.  The deadline and
-  /// score constants are HealthParams' defaults (core/fetch/health.hpp).
+  /// score values are constants in core/fetch/health.hpp.
   /// Off by default; the hedge counters then stay zero.
   bool hedge = false;
   /// Out-of-core tiering: hot-shard windows over a cold tier with async

@@ -482,12 +482,6 @@ class Runtime {
     return out;
   }
 
-  /// Empties every rank stream (e.g. after a warmup phase or clock reset,
-  /// so exported spans align with the measured timeline).
-  void clear_traces() {
-    for (auto& t : tracers_) t->clear();
-  }
-
   /// Maximum simulated time across ranks (the job's makespan so far).
   double max_clock() const;
 

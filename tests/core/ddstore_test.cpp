@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "formats/pff.hpp"
@@ -276,6 +278,47 @@ TEST_F(FetchMetricsLayout, SameCountersInEveryConfiguration) {
     });
   }
   EXPECT_EQ(names[0], names[1]);
+}
+
+TEST(DDStoreScale, ResilienceStateGrowsOnlyWithTouchedTargets) {
+  // All ranks share one process, so resilience state sized to the
+  // communicator would cost N^2 here.  At fig8 --smoke's shape (1024 ranks,
+  // one replica, per-sample, no faults) each rank holds records only for
+  // the targets its fetches touched.
+  constexpr int kRanks = 1024;
+  constexpr std::uint64_t kScaleSamples = 2 * kRanks;
+  const auto machine = test_machine();
+  fs::ParallelFileSystem fs(machine.fs, machine.nodes_for_ranks(kRanks));
+  const auto ds =
+      datagen::make_dataset(DatasetKind::AisdHomoLumo, kScaleSamples, 7);
+  formats::CffWriter::stage(fs, "cff/ds", *ds, 2);
+  const formats::CffReader reader(fs, "cff/ds",
+                                  ds->spec().nominal_cff_sample_bytes());
+  simmpi::Runtime rt(kRanks, machine);
+  rt.run([&](simmpi::Comm& c) {
+    fs::FsClient client(fs, machine.node_of_rank(c.world_rank()), c.clock(),
+                        c.rng());
+    DDStore store(c, reader, client);
+    EXPECT_EQ(store.num_replicas(), 1);
+    EXPECT_EQ(store.resilience_targets(), 0u);
+    std::set<int> touched;
+    for (std::uint64_t j = 0; j < 4; ++j) {
+      const std::uint64_t id =
+          (static_cast<std::uint64_t>(c.rank()) * 37 + j * 613) %
+          kScaleSamples;
+      (void)store.get(id);
+      touched.insert(
+          store.layout().primary_target(c.rank(), store.owner_of(id)));
+    }
+    EXPECT_EQ(store.resilience_targets(), touched.size());
+    int untouched = 0;
+    while (touched.count(untouched) != 0) ++untouched;
+    EXPECT_FALSE(store.breaker_open(untouched));
+    EXPECT_EQ(store.health_score(untouched), 1.0);
+    EXPECT_EQ(store.resilience_targets(), touched.size());  // reads add none
+    store.reset_target_health(*touched.begin());
+    EXPECT_EQ(store.resilience_targets(), touched.size() - 1);
+  });
 }
 
 }  // namespace
